@@ -45,12 +45,10 @@ from .sop import (
     depth_oracle,
     is_cm_depth,
     is_cm_reducing,
-    is_part_of_reducing_sop,
     is_part_of_sop,
     is_reducing_sop,
     is_regular_sequence,
     make_reducing,
-    make_reducing_part,
     max_assoc_dim_containing,
     quotient_module,
     random_sop,

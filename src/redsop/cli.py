@@ -15,15 +15,13 @@ import sys
 from .corpus import CorpusSpec
 from .session import (
     EXIT_INPUT_ERROR,
-    EXIT_INTERNAL,
-    EXIT_OK,
     SCHEMA,
+    check_theorems,
     corpus_report,
     render_human,
     render_report,
     run_block,
 )
-from .suites import REGISTRY, run_suites
 
 SEED_ENV = "REDSOP_SEED"
 
@@ -82,37 +80,20 @@ def _cmd_corpus(args):
 
 
 def _cmd_check(args):
-    names = [s.strip() for s in args.suites.split(",") if s.strip()]
     seed = args.seed if args.seed is not None else (_env_seed() or 0)
-    opts = {}
-    if args.vars:
-        opts["n_values"] = tuple(int(v) for v in args.vars.split(","))
-    if args.max_gens:
-        opts["max_gens"] = args.max_gens
-    if args.max_degree:
-        opts["max_degree"] = args.max_degree
+    given = (("count", args.count), ("vars", args.vars),
+             ("max-gens", args.max_gens), ("max-degree", args.max_degree))
+    options = [(key, value) for key, value in given if value is not None]
+    report = {"schema": SCHEMA, "command": "check-theorems", "seed": seed,
+              "status": "ok", "timing_ms": None}
     try:
-        for name in names:
-            if name != "all" and name not in REGISTRY:
-                raise KeyError(f"unknown suite {name!r}")
-        results = run_suites(names, seed, args.count, **opts)
-    except KeyError as exc:
+        code = check_theorems(report, args.suites, options, seed)
+    except ValueError as exc:
         report = {"schema": SCHEMA, "command": "check-theorems",
-                  "status": "input_error", "error": str(exc.args[0]), "timing_ms": None}
-        _emit(report, args.human)
-        return EXIT_INPUT_ERROR
-    passed = all(r.passed for r in results)
-    report = {
-        "schema": SCHEMA,
-        "command": "check-theorems",
-        "seed": seed,
-        "status": "ok",
-        "timing_ms": None,
-        "suites": [r.to_dict() for r in results],
-        "passed": passed,
-    }
+                  "status": "input_error", "error": str(exc), "timing_ms": None}
+        code = EXIT_INPUT_ERROR
     _emit(report, args.human)
-    return EXIT_OK if passed else EXIT_INTERNAL
+    return code
 
 
 def build_parser():

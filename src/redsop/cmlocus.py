@@ -24,6 +24,7 @@ from .monomial import (
     localize_at_monomial_prime,
     monomial_exponents_strict,
     monomial_primes,
+    monomials_in_prime,
 )
 from .sop import (
     ConstructionResult,
@@ -33,7 +34,6 @@ from .sop import (
     _assoc_dim_witness,
     depth_oracle,
     is_cm_depth,
-    is_part_of_reducing_sop,
     is_reducing_sop,
     random_homogeneous,
 )
@@ -69,7 +69,6 @@ def cm_membership_monomial(P, M, seed=0):
     if not isinstance(P, MonomialPrime):
         raise TypeError("expected a MonomialPrime")
     exps = monomial_exponents_strict(M.ideal)
-    ring = M.ring
     d = M.d
     dim_point = P.dim
     if not P.vars:
@@ -79,8 +78,7 @@ def cm_membership_monomial(P, M, seed=0):
                                 reason="outside the support")
         return CmLocusEntry(P, "member", dim_point, r=0, dim_local=0,
                             depth_local=0, reason="generic point of a domain")
-    idx = {ring.var_names.index(n) for n in P.vars}
-    if not all(any(m[i] for i in idx) for m in exps):
+    if not monomials_in_prime(exps, P):
         return CmLocusEntry(P, "non_member", dim_point,
                             reason="outside the support")
     Jp = localize_at_monomial_prime(M.ideal, P)
@@ -186,8 +184,7 @@ def construct_reducing_part_in_prime(M, P, r, seed, max_retries=32):
         elems.append(chosen)
         J = J + (chosen,)
     xs = ParamSequence(M.ring, elems)
-    check = is_reducing_sop(xs, M) if r == d else is_part_of_reducing_sop(xs, M)
-    if not check.ok:
+    if not is_reducing_sop(xs, M).ok:
         raise RuntimeError("stepwise construction failed the final verification")
     return ConstructionResult(True, xs, attempts)
 

@@ -51,6 +51,9 @@ class CorpusSpec:
 
 
 def default_ring(n, p=32003):
+    """The ring over the first n names of the variable pool, 1 <= n <= 8."""
+    if not 1 <= n <= len(_VAR_POOL):
+        raise ValueError(f"number of variables must lie in [1, {len(_VAR_POOL)}], got {n}")
     return PolyRing(_VAR_POOL[:n], p)
 
 

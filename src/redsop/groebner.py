@@ -23,7 +23,7 @@ from .poly import (
     Polynomial,
     PolyRing,
     _nf_raw,
-    _prep_basis,
+    _normal_form,
     mono_divides,
     mono_lcm,
 )
@@ -235,8 +235,7 @@ class Ideal:
         basis = self.groebner_basis(order)
         if not basis:
             return f
-        prepped = _prep_basis([g.terms for g in basis], order.key, self.ring.p)
-        return Polynomial(self.ring, _nf_raw(f.terms, prepped, order.key, self.ring.p), _raw=True)
+        return _normal_form(f, basis, order)
 
     def contains(self, f):
         return self.reduce(f).is_zero()

@@ -54,9 +54,6 @@ class IrreducibleComponent:
     ring: PolyRing
     powers: tuple  # ((var_index, exponent), ...) sorted by index
 
-    def support(self):
-        return frozenset(i for i, _ in self.powers)
-
     def radical(self):
         names = frozenset(self.ring.var_names[i] for i, _ in self.powers)
         return MonomialPrime(self.ring, names)
@@ -164,8 +161,17 @@ def member_of_monomial_prime(f, P):
     """True when f lies in P, i.e. every term involves a variable of P."""
     if f.ring != P.ring:
         raise ValueError("ring mismatch")
+    return monomials_in_prime(f.terms, P)
+
+
+def monomials_in_prime(exps, P):
+    """True when every exponent tuple involves a variable of P.
+
+    For the generators of a monomial ideal J this says J <= P, i.e. P
+    lies in the support of R/J.
+    """
     idx = {P.ring.var_names.index(n) for n in P.vars}
-    return all(any(m[i] for i in idx) for m in f.terms)
+    return all(any(m[i] for i in idx) for m in exps)
 
 
 def localize_at_monomial_prime(J, P):
@@ -235,10 +241,4 @@ def monomial_primes(ring):
 def monomial_primes_over(J):
     """Monomial primes containing J, i.e. the monomial part of Supp R/J."""
     exps = monomial_exponents_strict(J)
-    ring = J.ring
-    out = []
-    for P in monomial_primes(ring):
-        idx = {ring.var_names.index(n) for n in P.vars}
-        if all(any(m[i] for i in idx) for m in exps):
-            out.append(P)
-    return out
+    return [P for P in monomial_primes(J.ring) if monomials_in_prime(exps, P)]

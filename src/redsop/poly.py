@@ -54,10 +54,6 @@ def mono_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_deg(m):
-    return sum(m)
-
-
 def monomials_of_degree(n, d):
     """Yield every exponent tuple of total degree d in n variables."""
     if n == 1:
@@ -90,9 +86,7 @@ def _grev_key(exps):
 @dataclass(frozen=True)
 class GrevlexOrder(MonomialOrder):
     name = "grevlex"
-
-    def key(self, exps):
-        return (sum(exps), tuple(-e for e in reversed(exps)))
+    key = staticmethod(_grev_key)
 
 
 @dataclass(frozen=True)
@@ -306,20 +300,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = self.ring.const(other)
-        self._check_ring(other)
-        p = self.ring.p
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            v = res.get(m, 0) - c
-            if p:
-                v %= p
-            if v:
-                res[m] = v
-            else:
-                res.pop(m, None)
-        return Polynomial(self.ring, res, _raw=True)
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -587,5 +568,12 @@ def normal_form(f, basis, order=GREVLEX):
     for g in basis:
         if f.ring != g.ring:
             raise ValueError("ring mismatch")
-    prepped = _prep_basis([g.terms for g in basis], order.key, f.ring.p)
-    return Polynomial(f.ring, _nf_raw(f.terms, prepped, order.key, f.ring.p), _raw=True)
+    return _normal_form(f, basis, order)
+
+
+def _normal_form(f, basis, order):
+    """:func:`normal_form` for a basis already known to share f's ring."""
+    okey = order.key
+    p = f.ring.p
+    prepped = _prep_basis([g.terms for g in basis], okey, p)
+    return Polynomial(f.ring, _nf_raw(f.terms, prepped, okey, p), _raw=True)

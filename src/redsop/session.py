@@ -38,12 +38,10 @@ from .sop import (
     RetryBudgetError,
     depth_with_certificate,
     is_cm_reducing,
-    is_part_of_reducing_sop,
     is_part_of_sop,
     is_regular_sequence,
     is_reducing_sop,
     make_reducing,
-    make_reducing_part,
 )
 from .suites import REGISTRY, run_suites
 
@@ -281,23 +279,30 @@ def _module(session):
     return CyclicModule(session.ring, ideal)
 
 
-def _check_theorem_args(arg):
-    tokens = arg.split()
-    if not tokens:
-        raise ValueError("expected: check-theorems <suite,...> [count=N] [vars=2,3,4] ...")
-    names = [s.strip() for s in tokens[0].split(",") if s.strip()]
+def check_theorems(report, suites, options, seed):
+    """Validate suite names and options, run the suites, fill in the report.
+
+    ``suites`` is a comma-separated list of suite names, or ``all``;
+    ``options`` holds (name, value) pairs for ``count``, ``vars``,
+    ``max-gens``, ``max-degree`` and ``squarefree``, values as text or
+    int.  Bad names or options raise ValueError before any suite runs.
+    Adds the ``suites`` and ``passed`` fields and returns the exit code.
+    """
+    names = [s.strip() for s in suites.split(",") if s.strip()]
     opts = {}
     count = None
-    for tok in tokens[1:]:
-        key, _, val = tok.partition("=")
+    for key, val in options:
         if key == "count":
             count = int(val)
         elif key == "vars":
             opts["n_values"] = tuple(int(v) for v in val.split(","))
-        elif key == "max-gens":
-            opts["max_gens"] = int(val)
-        elif key == "max-degree":
-            opts["max_degree"] = int(val)
+            for n in opts["n_values"]:
+                default_ring(n)  # rejects variable counts the suites cannot build
+        elif key in ("max-gens", "max-degree"):
+            bound = int(val)
+            if bound < 1:
+                raise ValueError(f"{key} must be at least 1, got {bound}")
+            opts[key.replace("-", "_")] = bound
         elif key == "squarefree":
             opts["squarefree"] = val in ("1", "true", "yes")
         else:
@@ -305,7 +310,10 @@ def _check_theorem_args(arg):
     for name in names:
         if name != "all" and name not in REGISTRY:
             raise ValueError(f"unknown suite {name!r}")
-    return names, count, opts
+    results = run_suites(names, seed, count, **opts)
+    report["suites"] = [r.to_dict() for r in results]
+    report["passed"] = all(r.passed for r in results)
+    return EXIT_OK if report["passed"] else EXIT_INTERNAL
 
 
 def run_command(session, default_seed=None, timings=False):
@@ -354,11 +362,11 @@ def _dispatch(session, seed, report):
     cmd = session.command
 
     if cmd == "check-theorems":
-        names, count, opts = _check_theorem_args(session.arg)
-        results = run_suites(names, seed, count, **opts)
-        report["suites"] = [r.to_dict() for r in results]
-        report["passed"] = all(r.passed for r in results)
-        return EXIT_OK if report["passed"] else EXIT_INTERNAL
+        tokens = session.arg.split()
+        if not tokens:
+            raise ValueError("expected: check-theorems <suite,...> [count=N] [vars=2,3,4] ...")
+        options = [tok.partition("=")[::2] for tok in tokens[1:]]
+        return check_theorems(report, tokens[0], options, seed)
 
     M = _module(session)
     report["input"]["dim"] = M.d
@@ -386,26 +394,20 @@ def _dispatch(session, seed, report):
         report["quotient_dim"] = quotient_dim
         return EXIT_OK
 
-    if cmd == "is-reducing-sop":
+    if cmd in ("is-reducing-sop", "is-part-reducing"):
         xs = _resolve_sequence(session, session.arg)
+        if cmd == "is-reducing-sop" and (xs.r != M.d or M.d < 1):
+            raise ValueError(f"expected a full candidate sequence of length d = {M.d} >= 1")
+        if cmd == "is-part-reducing" and xs.r >= M.d:
+            raise ValueError("sequence must be shorter than dim M; use is_reducing_sop for r = d")
         check = is_reducing_sop(xs, M)
-        report["verdict"] = check.ok
-        report["witness"] = _witness_dict(check.witness)
-        return EXIT_OK
-
-    if cmd == "is-part-reducing":
-        xs = _resolve_sequence(session, session.arg)
-        check = is_part_of_reducing_sop(xs, M)
         report["verdict"] = check.ok
         report["witness"] = _witness_dict(check.witness)
         return EXIT_OK
 
     if cmd == "make-reducing":
         xs = _resolve_sequence(session, session.arg)
-        if xs.r == M.d:
-            res = make_reducing(xs, M, seed)
-        else:
-            res = make_reducing_part(xs, M, seed)
+        res = make_reducing(xs, M, seed)
         report["verdict"] = res.ok
         report["attempts"] = res.attempts
         if res.ok:

@@ -247,43 +247,27 @@ def _reducing_violations(xs, M, upto):
 
 
 def is_reducing_sop(xs, M):
-    """Decide whether a full sequence is a reducing system of parameters.
+    """Decide whether xs is a reducing system of parameters of M, or part of one.
 
-    Checks sop-ness first; under that precondition, testing each x_i
-    against associated primes of dimension >= d - i is equivalent to the
-    defining equality dim R/P = d - i, since a hit in dimension > d - i
-    would already contradict the dimension drop of a system of
-    parameters.  The literal-definition suite pins this equivalence on
-    monomial corpora.
+    A sequence of length r <= d = dim M qualifies when it is part of a
+    system of parameters (the quotient has dimension d - r) and each x_i,
+    for i <= min(r, d - 1), avoids every associated prime of
+    M/(x_1..x_{i-1})M of dimension >= d - i.  For r = d this is the
+    defining equality dim R/P = d - i: a hit in dimension > d - i would
+    already contradict the dimension drop of a system of parameters.  The
+    literal-definition suite pins this equivalence on monomial corpora.
     """
     d = M.d
-    if xs.r != d or d < 1:
-        raise ValueError(f"expected a full candidate sequence of length d = {d} >= 1")
-    J = M.ideal + xs.elems
+    r = xs.r
+    if r > d:
+        raise ValueError(f"sequence longer ({r}) than dim M ({d})")
+    J = M.ideal + xs.elems if r else M.ideal
     dim = J.dim_quotient()
-    if dim != 0:
+    if dim != d - r:
         return ReducingCheck(False, ViolationWitness(
             kind="not_system_of_parameters", dim=dim, ideal=J))
-    witness = _reducing_violations(xs, M, d - 1)
-    if witness is not None:
-        return ReducingCheck(False, witness)
-    return ReducingCheck(True)
-
-
-def is_part_of_reducing_sop(xs, M):
-    """Decide whether a short sequence is part of a reducing sop (r < d)."""
-    d = M.d
-    if xs.r >= d:
-        raise ValueError("sequence must be shorter than dim M; use is_reducing_sop for r = d")
-    J = M.ideal + xs.elems if xs.r else M.ideal
-    dim = J.dim_quotient()
-    if dim != d - xs.r:
-        return ReducingCheck(False, ViolationWitness(
-            kind="not_system_of_parameters", dim=dim, ideal=J))
-    witness = _reducing_violations(xs, M, xs.r)
-    if witness is not None:
-        return ReducingCheck(False, witness)
-    return ReducingCheck(True)
+    witness = _reducing_violations(xs, M, min(r, d - 1))
+    return ReducingCheck(witness is None, witness)
 
 
 def is_regular_sequence(xs, M):
@@ -407,48 +391,22 @@ def _better(old, new):
 
 
 def make_reducing(xs, M, seed, max_retries=32):
-    """Rearrange a system of parameters into a reducing one.
+    """Rearrange a system of parameters, or part of one, into a reducing one.
 
     Applies verified random degree-preserving invertible transforms (the
     identity first), so the output generates the same ideal as the input.
+    For r < d a success therefore certifies the input itself as part of a
+    reducing system of parameters, and failure after the budget is the
+    expected outcome on negative instances: the operation doubles as an
+    equivalence probe.
     """
-    if xs.r != M.d:
-        raise ValueError(f"expected a full system of parameters of length d = {M.d}")
-    if not is_part_of_sop(xs, M):
-        raise ValueError("input is not a system of parameters")
-    if M.d == 0:
-        return ConstructionResult(True, xs, 0)
-    rng = random.Random(seed)
-    best = None
-    for attempt in range(max_retries + 1):
-        ys = xs if attempt == 0 else _degree_block_transform(xs, rng)
-        check = is_reducing_sop(ys, M)
-        if check.ok:
-            if Ideal(M.ring, ys.elems) != Ideal(M.ring, xs.elems):
-                raise RuntimeError("transform changed the generated ideal")
-            return ConstructionResult(True, ys, attempt)
-        best = _better(best, check.witness)
-    return ConstructionResult(False, None, max_retries + 1, best)
-
-
-def make_reducing_part(xs, M, seed, max_retries=32):
-    """Try to rearrange a part of a sop into a reducing part (r < d).
-
-    Success within the budget is expected exactly when the input already
-    is part of a reducing system of parameters: any output generates the
-    same ideal, so a success certifies the input as well.  Failure after
-    the budget is the expected outcome on negative instances, which makes
-    the operation double as an equivalence probe.
-    """
-    if xs.r >= M.d:
-        raise ValueError("expected r < d; use make_reducing for full sequences")
     if not is_part_of_sop(xs, M):
         raise ValueError("input is not part of a system of parameters")
     rng = random.Random(seed)
     best = None
     for attempt in range(max_retries + 1):
         ys = xs if attempt == 0 else _degree_block_transform(xs, rng)
-        check = is_part_of_reducing_sop(ys, M)
+        check = is_reducing_sop(ys, M)
         if check.ok:
             if Ideal(M.ring, ys.elems) != Ideal(M.ring, xs.elems):
                 raise RuntimeError("transform changed the generated ideal")

@@ -39,6 +39,7 @@ from .monomial import (
     monomial_intersection,
     monomial_primes,
     monomial_primes_over,
+    monomials_in_prime,
     oracle_dim,
     restrict_monomial_poly,
 )
@@ -48,12 +49,10 @@ from .sop import (
     ParamSequence,
     is_cm_depth,
     is_cm_reducing,
-    is_part_of_reducing_sop,
     is_part_of_sop,
     is_reducing_sop,
     is_regular_sequence,
     make_reducing,
-    make_reducing_part,
     max_assoc_dim_containing,
     random_linear_form,
     random_sop,
@@ -379,7 +378,7 @@ def suite_cm_regular(count, seed, **opts):
             for r in range(1, M.d):
                 part = sop.prefix(r)
                 reg = is_regular_sequence(part, M)
-                red = is_part_of_reducing_sop(part, M).ok
+                red = is_reducing_sop(part, M).ok
                 sp = is_part_of_sop(part, M)
                 res.record(reg and red and sp,
                            lambda: _fixture_detail(M, seq=part, law="CM equivalences",
@@ -388,7 +387,7 @@ def suite_cm_regular(count, seed, **opts):
             elems = [random_linear_form(M.ring, rng) for _ in range(rng.randint(1, M.d - 1))]
             xs = ParamSequence(M.ring, elems)
             reg = is_regular_sequence(xs, M)
-            red = is_part_of_reducing_sop(xs, M).ok
+            red = is_reducing_sop(xs, M).ok
             sp = is_part_of_sop(xs, M)
             res.record(reg == red == sp,
                        lambda: _fixture_detail(M, seq=xs, law="CM equivalences",
@@ -413,7 +412,7 @@ def _sampled_reducing_parts(M, rng, tries=3):
     greedy = greedy_monomial_sequence(M, rng.randint(1, M.d - 1), rng)
     if greedy is not None:
         xs = ParamSequence(M.ring, greedy)
-        if is_part_of_reducing_sop(xs, M).ok:
+        if is_reducing_sop(xs, M).ok:
             out.append(xs)
     return out
 
@@ -438,7 +437,7 @@ def suite_permutation(count, seed, **opts):
             res.instances += 1
             ok = True
             for perm in itertools.permutations(range(xs.r)):
-                if not is_part_of_reducing_sop(xs.permuted(perm), M).ok:
+                if not is_reducing_sop(xs.permuted(perm), M).ok:
                     ok = False
                     break
             res.record(ok, lambda: _fixture_detail(M, seq=xs, perm=list(perm)))
@@ -460,14 +459,13 @@ def suite_local_cm(count, seed, **opts):
             continue
         xs = ParamSequence(M.ring, greedy)
         res.instances += 1
-        verdict = is_part_of_reducing_sop(xs, M).ok
+        verdict = is_reducing_sop(xs, M).ok
         conj = True
         d = M.d
         for P in monomial_primes(M.ring):
             if P.dim != d - r or not P.vars:
                 continue
-            idx = {M.ring.var_names.index(n) for n in P.vars}
-            if not all(any(m[i] for i in idx) for m in M.ideal.monomial_exponents()):
+            if not monomials_in_prime(M.ideal.monomial_exponents(), P):
                 continue
             if not all(member_of_monomial_prime(x, P) for x in xs):
                 continue
@@ -478,7 +476,7 @@ def suite_local_cm(count, seed, **opts):
         res.record(verdict == conj,
                    lambda: _fixture_detail(M, seq=xs, verdict=verdict, local=conj))
         if verdict:
-            built = make_reducing_part(xs, M, _sub_seed(rng))
+            built = make_reducing(xs, M, _sub_seed(rng))
             res.record(built.ok,
                        lambda: _fixture_detail(M, seq=xs, law="positive instance rebuilds"))
     return res
@@ -501,15 +499,13 @@ def suite_localization(count, seed, **opts):
         part = is_part_of_sop(xs, M)
         if not part:
             continue
-        reducing = (is_reducing_sop(xs, M).ok if r == M.d
-                    else is_part_of_reducing_sop(xs, M).ok)
+        reducing = is_reducing_sop(xs, M).ok
         d = M.d
         exps = M.ideal.monomial_exponents()
         for P in monomial_primes(M.ring):
             if not P.vars:
                 continue
-            idx = {M.ring.var_names.index(n) for n in P.vars}
-            if not all(any(m[i] for i in idx) for m in exps):
+            if not monomials_in_prime(exps, P):
                 continue
             if not all(member_of_monomial_prime(x, P) for x in xs):
                 continue
@@ -526,9 +522,7 @@ def suite_localization(count, seed, **opts):
             res.record(is_part_of_sop(xs_p, Mp),
                        lambda: _fixture_detail(M, seq=xs, prime=P, law="localized part of sop"))
             if reducing:
-                loc_red = (is_reducing_sop(xs_p, Mp).ok if r == Mp.d
-                           else is_part_of_reducing_sop(xs_p, Mp).ok)
-                res.record(loc_red,
+                res.record(is_reducing_sop(xs_p, Mp).ok,
                            lambda: _fixture_detail(M, seq=xs, prime=P,
                                                    law="localized reducing part"))
             if res.instances >= count:

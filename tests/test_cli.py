@@ -1,10 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from redsop.corpus import CorpusSpec
+from redsop.corpus import CorpusSpec, default_ring
 from redsop.session import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,
@@ -139,6 +140,10 @@ def test_non_homogeneous_input_rejected():
 def test_sequence_length_error_is_input_error():
     report, code = run(FIXTURE + "is-reducing-sop Y\n")
     assert code == EXIT_INPUT_ERROR
+    assert report["error"] == "expected a full candidate sequence of length d = 2 >= 1"
+    report, code = run(FIXTURE + "is-part-reducing Y; X+Y+Z\n")
+    assert code == EXIT_INPUT_ERROR and report["status"] == "input_error"
+    assert report["error"] == "sequence must be shorter than dim M; use is_reducing_sop for r = d"
 
 
 def test_check_theorems_in_session():
@@ -230,3 +235,52 @@ def test_cli_human_mode():
 
     code = main(["run", "-e", FIXTURE + "dim\n", "--human"])
     assert code == 0
+
+
+# Stdout SHA-256 of `redsop check` recorded before the check-theorems
+# validation moved into the session layer (Python 3.11.7); the move must
+# not change a byte of any report that succeeded before it.
+CHECK_DIGESTS = [
+    (["--suites", "all", "--count", "3", "--seed", "7"],
+     "901a7d2b671c357accb229d001de07be4117670e8ac7e14a444a4d9ee6f0aac6", 0),
+    (["--suites", "dimension-filter,reducing-literal", "--count", "5", "--seed", "3",
+      "--vars", "2,3", "--max-gens", "3", "--max-degree", "2"],
+     "ab5e063263dcaf946cb9be956eb55da90a4fe53220850858f4d0a5e42ae9f50c", 0),
+    (["--suites", "nonsense"],
+     "ba2430bfffeddb0c9c605dbb041587ca9a0b2529e519e5a04dc97d2bfde6c3c6", EXIT_INPUT_ERROR),
+]
+
+
+@pytest.mark.parametrize("argv,digest,exit_code", CHECK_DIGESTS,
+                         ids=["all", "options", "unknown-suite"])
+def test_check_report_bytes(argv, digest, exit_code, capsys, monkeypatch):
+    from redsop.cli import main
+
+    monkeypatch.delenv("REDSOP_SEED", raising=False)
+    assert main(["check"] + argv) == exit_code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("option", [["--vars", "a"], ["--vars", "0"], ["--vars", "9"],
+                                    ["--max-gens", "0"], ["--max-degree", "0"]],
+                         ids=lambda option: "".join(option))
+def test_check_rejects_bad_options(option, capsys):
+    from redsop.cli import main
+
+    code = main(["check", "--suites", "dimension-filter", "--count", "1"] + option)
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_INPUT_ERROR and report["status"] == "input_error"
+    assert "suites" not in report
+
+
+def test_check_theorems_rejects_too_many_variables():
+    report, code = run("check-theorems dimension-filter count=2 vars=2,9\n")
+    assert code == EXIT_INPUT_ERROR and report["status"] == "input_error"
+    assert "[1, 8]" in report["error"]
+
+
+def test_default_ring_rejects_out_of_range_counts():
+    assert default_ring(8).n == 8
+    for n in (0, 9):
+        with pytest.raises(ValueError):
+            default_ring(n)

@@ -9,7 +9,7 @@ from redsop import (
     cm_membership_general,
     cm_membership_monomial,
     construct_reducing_part_in_prime,
-    is_part_of_reducing_sop,
+    is_reducing_sop,
 )
 
 
@@ -65,7 +65,7 @@ def test_construct_inside_good_prime(R, M):
     res = construct_reducing_part_in_prime(M, R.ideal("X", "Y"), 1, seed=5)
     assert res.ok
     xs = res.sequence
-    assert xs.r == 1 and is_part_of_reducing_sop(xs, M).ok
+    assert xs.r == 1 and is_reducing_sop(xs, M).ok
     assert R.ideal("X", "Y").contains(xs[0])
 
 

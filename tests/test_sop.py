@@ -9,12 +9,10 @@ from redsop import (
     depth_oracle,
     is_cm_depth,
     is_cm_reducing,
-    is_part_of_reducing_sop,
     is_part_of_sop,
     is_reducing_sop,
     is_regular_sequence,
     make_reducing,
-    make_reducing_part,
     max_assoc_dim_containing,
     quotient_module,
     random_sop,
@@ -128,24 +126,29 @@ def test_reducing_vacuous_in_dimension_one():
 
 
 def test_reducing_length_check(R, M):
+    # every length 0 <= r <= d is decided; only r > d is refused
     with pytest.raises(ValueError):
-        is_reducing_sop(seq(R, "Y"), M)
+        is_reducing_sop(seq(R, "X; Y; Z"), M)
+    assert is_reducing_sop(seq(R, ""), M).ok
 
 
 def test_part_of_reducing(R, M):
-    assert is_part_of_reducing_sop(seq(R, "X+Y"), M).ok
-    bad = is_part_of_reducing_sop(seq(R, "Y"), M)
+    assert is_reducing_sop(seq(R, "X+Y"), M).ok
+    bad = is_reducing_sop(seq(R, "Y"), M)
     assert not bad.ok and bad.witness.ideal == R.ideal("Y", "Z")
 
 
 def test_part_of_reducing_rejects_full_length(R, M):
+    # r = d is the last case of the one checker; only r > d is refused
+    full = is_reducing_sop(seq(R, "Y; X+Y+Z"), M)
+    assert not full.ok and full.witness.index == 1
     with pytest.raises(ValueError):
-        is_part_of_reducing_sop(seq(R, "Y; X+Y+Z"), M)
+        is_reducing_sop(seq(R, "Y; X+Y+Z; X"), M)
 
 
 def test_non_zero_divisor_is_reducing_part(R, M):
     # a non-zero-divisor that is part of a sop is always a reducing part
-    assert is_part_of_reducing_sop(seq(R, "X+Y+Z"), M).ok
+    assert is_reducing_sop(seq(R, "X+Y+Z"), M).ok
 
 
 # --- constructions -----------------------------------------------------------
@@ -177,13 +180,13 @@ def test_make_reducing_rejects_non_sop(R, M):
 
 def test_make_reducing_part_identity(R, M):
     xs = seq(R, "X+Y")
-    res = make_reducing_part(xs, M, seed=9)
-    assert res.ok and res.sequence == xs
+    res = make_reducing(xs, M, seed=9)
+    assert res.ok and res.attempts == 0 and res.sequence == xs
 
 
 def test_make_reducing_part_fails_on_obstructed_element(R, M):
     # every scalar multiple of Y stays inside the bad associated prime
-    res = make_reducing_part(seq(R, "Y"), M, seed=9)
+    res = make_reducing(seq(R, "Y"), M, seed=9)
     assert not res.ok
     assert res.witness is not None and res.witness.kind == "associated_prime"
 
@@ -191,8 +194,8 @@ def test_make_reducing_part_fails_on_obstructed_element(R, M):
 def test_make_reducing_part_on_free_module():
     ring = PolyRing(("X", "Y", "Z"))
     free = CyclicModule(ring, Ideal(ring, ()))
-    res = make_reducing_part(ParamSequence.parse(ring, "Y; X+Y+Z"), free, seed=2)
-    assert res.ok
+    res = make_reducing(ParamSequence.parse(ring, "Y; X+Y+Z"), free, seed=2)
+    assert res.ok and is_reducing_sop(res.sequence, free).ok
 
 
 def test_random_sop_contract(R, M):

@@ -33,7 +33,6 @@ from .sop import (
     ViolationWitness,
     _assoc_dim_witness,
     depth_oracle,
-    is_cm_depth,
     is_reducing_sop,
     random_homogeneous,
 )
@@ -220,13 +219,13 @@ def cm_membership_general(P, M, seed, max_retries=32):
                             certificate=ParamSequence(M.ring, ()),
                             reason="minimal prime of maximal dimension")
     if dim_point == 0:
-        cm = is_cm_depth(M, seed, max_retries)
-        if cm:
+        depth = depth_oracle(M, seed, max_retries)
+        if depth == d:
             return CmLocusEntry(P, "member", 0, r=d, dim_local=d,
                                 depth_local=d,
                                 reason="module is Cohen-Macaulay")
         return CmLocusEntry(P, "non_member", 0, r=d, dim_local=d,
-                            depth_local=depth_oracle(M, seed, max_retries),
+                            depth_local=depth,
                             reason="module is not Cohen-Macaulay")
     res = construct_reducing_part_in_prime(M, P, r, seed, max_retries)
     if not res.ok:

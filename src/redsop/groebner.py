@@ -5,12 +5,13 @@ basis is unique (monic generators, no term divisible by another leading
 term, sorted ascending by leading monomial), so recomputation from any
 permutation or rescaling of the generators returns the identical tuple.
 
-Quotients, saturations, intersections and eliminations are all reduced
-to basis computations: intersections and eliminations through a block
-order with a tag variable, quotients through ``(J : f) = (J cap (f))/f``.
-Monomial ideals take combinatorial shortcuts where those are exact; the
-generic tag-variable routes stay in place and the verification suites
-pin the two routes against each other.
+Quotients, saturations, intersections and eliminations all reduce to one
+elimination basis with a tag variable t placed first: ``t*A + (1-t)*B``
+for intersections, ``(J : f) = (J cap (f))/f`` for quotients, and the
+Rabinowitsch form ``(J : f^inf) = (J + (1 - t*f)) cap R`` for saturations,
+whose unit test also decides radical membership.  Monomial ideals take
+exact combinatorial shortcuts; the verification suites pin them, and the
+saturation, against the generic and iterated-colon routes.
 """
 
 from __future__ import annotations
@@ -199,6 +200,24 @@ def _fresh_name(base, taken):
     return name
 
 
+def _tagged(ring):
+    """Ring with a fresh tag variable placed first, and the lift of R into it."""
+    tag = _fresh_name("t", set(ring.var_names))
+    ext = PolyRing((tag,) + ring.var_names, ring.p)
+
+    def lift(g):
+        return Polynomial(ext, {(0,) + m: c for m, c in g.terms.items()}, _raw=True)
+
+    return ext, lift
+
+
+def _contract(gens, k, sub):
+    """Contraction to ``sub`` of (gens), eliminating the first k variables."""
+    basis = buchberger(gens, EliminationOrder(k))
+    return Ideal(sub, [Polynomial(sub, {m[k:]: c for m, c in g.terms.items()}, _raw=True)
+                       for g in basis if not any(any(m[:k]) for m in g.terms)])
+
+
 class Ideal:
     """Finitely generated ideal of a :class:`PolyRing` with a basis cache."""
 
@@ -291,12 +310,24 @@ class Ideal:
 
     # -- ideal operations --------------------------------------------------
 
-    def quotient(self, f):
-        """Colon ideal (J : f) = {g : g*f in J}."""
+    def _element(self, f):
+        """f as an element of this ring: text is parsed, other rings refused."""
         if isinstance(f, str):
             f = self.ring.poly(f)
         if f.ring != self.ring:
             raise ValueError("ring mismatch")
+        return f
+
+    def _rabinowitsch(self, f):
+        """The ideal J + (1 - t*f) of the tag ring."""
+        ext, lift = _tagged(self.ring)
+        gens = [lift(g) for g in self.gens if not g.is_zero()]
+        gens.append(ext.one - ext.gen(0) * lift(f))
+        return Ideal(ext, gens)
+
+    def quotient(self, f):
+        """Colon ideal (J : f) = {g : g*f in J}."""
+        f = self._element(f)
         if f.is_zero():
             raise ValueError("quotient by zero polynomial")
         if f.degree() == 0:
@@ -322,40 +353,28 @@ class Ideal:
         return result
 
     def saturation(self, f):
-        """Stable value (J : f^inf) of the iterated quotient."""
-        if isinstance(f, str):
-            f = self.ring.poly(f)
+        """Saturation (J : f^inf), from one elimination basis of J + (1 - t*f)."""
+        f = self._element(f)
         if f.is_zero():
             raise ValueError("saturation by zero polynomial")
-        cur = self
-        for _ in range(1000):
-            nxt = cur.quotient(f)
-            if nxt == cur:
-                return cur
-            cur = nxt
-        raise RuntimeError("saturation failed to stabilize")
+        if f.degree() == 0:
+            return self
+        exps = self.monomial_exponents()
+        if exps is not None and f.is_monomial():
+            fm = next(iter(f.terms))
+            freed = [tuple(0 if d else e for e, d in zip(g, fm)) for g in exps]
+            return _monomial_ideal(self.ring, freed)
+        return _contract(self._rabinowitsch(f).gens, 1, self.ring)
 
     def intersect(self, other):
         """A cap B via elimination of a tag variable from t*A + (1-t)*B."""
         if other.ring != self.ring:
             raise ValueError("ring mismatch")
-        ring = self.ring
-        tag = _fresh_name("t", set(ring.var_names))
-        ext = PolyRing((tag,) + ring.var_names, ring.p)
+        ext, lift = _tagged(self.ring)
         t = ext.gen(0)
-        one_minus_t = ext.one - t
-
-        def lift(g):
-            return Polynomial(ext, {(0,) + m: c for m, c in g.terms.items()}, _raw=True)
-
         gens = [t * lift(a) for a in self.gens if not a.is_zero()]
-        gens += [one_minus_t * lift(b) for b in other.gens if not b.is_zero()]
-        basis = buchberger(gens, EliminationOrder(1))
-        kept = []
-        for g in basis:
-            if all(m[0] == 0 for m in g.terms):
-                kept.append(Polynomial(ring, {m[1:]: c for m, c in g.terms.items()}, _raw=True))
-        return Ideal(ring, kept)
+        gens += [(ext.one - t) * lift(b) for b in other.gens if not b.is_zero()]
+        return _contract(gens, 1, self.ring)
 
     def eliminate(self, drop):
         """Contract to the subring without the dropped variables."""
@@ -379,36 +398,15 @@ class Ideal:
                 _raw=True,
             )
 
-        basis = buchberger([permute(g) for g in self.gens if not g.is_zero()],
-                           EliminationOrder(len(dropped_names)))
-        sub = PolyRing(kept_names, self.ring.p)
-        k = len(dropped_names)
-        kept = []
-        for g in basis:
-            if all(sum(m[:k]) == 0 for m in g.terms):
-                kept.append(Polynomial(sub, {m[k:]: c for m, c in g.terms.items()}, _raw=True))
-        return Ideal(sub, kept)
+        return _contract([permute(g) for g in self.gens if not g.is_zero()],
+                         len(dropped_names), PolyRing(kept_names, self.ring.p))
 
     def radical_contains(self, f):
-        """Membership f in rad(J), by the tag-variable trick on 1 - t*f."""
-        if isinstance(f, str):
-            f = self.ring.poly(f)
-        if f.ring != self.ring:
-            raise ValueError("ring mismatch")
+        """Membership f in rad(J): whether J + (1 - t*f) is the unit ideal."""
+        f = self._element(f)
         if f.is_zero():
             return True
-        ring = self.ring
-        tag = _fresh_name("t", set(ring.var_names))
-        ext = PolyRing(ring.var_names + (tag,), ring.p)
-
-        def lift(g):
-            return Polynomial(ext, {m + (0,): c for m, c in g.terms.items()}, _raw=True)
-
-        t = ext.gen(ext.n - 1)
-        gens = [lift(g) for g in self.gens if not g.is_zero()]
-        gens.append(ext.one - t * lift(f))
-        basis = buchberger(gens, GREVLEX)
-        return len(basis) == 1 and basis[0].degree() == 0
+        return self._rabinowitsch(f).is_unit()
 
     def dim_quotient(self):
         """Krull dimension of R/J; -1 when J is the unit ideal.

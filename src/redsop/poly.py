@@ -4,11 +4,13 @@ Monomials are exponent tuples with one slot per ring variable; every
 variable sits in degree one.  Coefficients are plain ints reduced into
 ``[0, p)`` over a prime field and :class:`fractions.Fraction` in
 characteristic zero.  Monomial orders are small immutable objects passed
-explicitly wherever an order matters; nothing here keeps global state.
+explicitly wherever an order matters; nothing here keeps global state
+beyond a memo of the primality check on the characteristic.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,16 +27,31 @@ class HomogeneityError(ValueError):
     """Raised where the graded model requires homogeneous input."""
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@functools.lru_cache(maxsize=256)
 def _is_prime(p):
+    """Deterministic Miller-Rabin; the bases 2..37 are exact for p < 2^64."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -148,6 +165,8 @@ class PolyRing:
                 raise ValueError(f"bad variable name {name!r}")
             if not all(c.isalnum() or c == "_" for c in name):
                 raise ValueError(f"bad variable name {name!r}")
+        if self.p >= 2 ** 64:
+            raise ValueError(f"characteristic must be below 2^64, got {self.p}")
         if self.p != 0 and not _is_prime(self.p):
             raise ValueError(f"characteristic must be 0 or a prime, got {self.p}")
 

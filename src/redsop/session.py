@@ -294,6 +294,8 @@ def check_theorems(report, suites, options, seed):
     for key, val in options:
         if key == "count":
             count = int(val)
+            if count < 1:
+                raise ValueError(f"count must be at least 1, got {count}")
         elif key == "vars":
             opts["n_values"] = tuple(int(v) for v in val.split(","))
             for n in opts["n_values"]:

@@ -262,7 +262,8 @@ def test_check_report_bytes(argv, digest, exit_code, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("option", [["--vars", "a"], ["--vars", "0"], ["--vars", "9"],
-                                    ["--max-gens", "0"], ["--max-degree", "0"]],
+                                    ["--max-gens", "0"], ["--max-degree", "0"],
+                                    ["--count", "0"], ["--count", "-2"]],
                          ids=lambda option: "".join(option))
 def test_check_rejects_bad_options(option, capsys):
     from redsop.cli import main
@@ -277,6 +278,12 @@ def test_check_theorems_rejects_too_many_variables():
     report, code = run("check-theorems dimension-filter count=2 vars=2,9\n")
     assert code == EXIT_INPUT_ERROR and report["status"] == "input_error"
     assert "[1, 8]" in report["error"]
+
+
+def test_check_theorems_rejects_non_positive_count():
+    report, code = run("check-theorems dimension-filter count=0\n")
+    assert code == EXIT_INPUT_ERROR and report["status"] == "input_error"
+    assert "suites" not in report
 
 
 def test_default_ring_rejects_out_of_range_counts():

@@ -72,6 +72,22 @@ def test_saturation(R):
         I.saturation(R.zero)
 
 
+@pytest.mark.parametrize("p", [32003, 0])
+def test_saturation_by_non_monomials(p):
+    ring = PolyRing(("X", "Y", "Z"), p)
+    J = ring.ideal("(X+Y)Y", "(X+Y)Z")
+    assert J.saturation(ring.poly("Y")) == ring.ideal("X+Y")
+    assert J.saturation(ring.poly("X+Y")) == ring.ideal("Y", "Z")
+
+
+def test_foreign_ring_element_is_refused(R):
+    other = PolyRing(("A", "B", "C"))
+    J = R.ideal("XY", "XZ")
+    for op in (J.saturation, J.radical_contains):
+        with pytest.raises(ValueError):
+            op(other.poly("A"))
+
+
 def test_intersection(R):
     assert R.ideal("X").intersect(R.ideal("Y", "Z")) == R.ideal("XY", "XZ")
     A = R.ideal("XY", "Z^2")
@@ -85,6 +101,12 @@ def test_eliminate_tag_variable():
     out = J.eliminate({"t"})
     assert out.ring.var_names == ("X", "Y")
     assert out == out.ring.ideal("XY")
+
+
+def test_eliminate_middle_variable(R):
+    out = R.ideal("X - Y", "Y - Z").eliminate({"Y"})
+    assert out.ring.var_names == ("X", "Z")
+    assert out == out.ring.ideal("X - Z")
 
 
 def test_eliminate_nothing(R):

@@ -11,7 +11,7 @@ from redsop import (
     normal_form,
 )
 from redsop.corpus import random_monomial
-from redsop.poly import mono_mul
+from redsop.poly import _is_prime, mono_mul
 
 
 def test_parse_implicit_product(R):
@@ -191,10 +191,21 @@ def test_ring_validation():
         PolyRing(())
     with pytest.raises(ValueError):
         PolyRing(("X", "X"))
-    with pytest.raises(ValueError):
-        PolyRing(("X",), 15)  # composite characteristic
+    # composite characteristics, Carmichael and strong pseudoprimes, and
+    # primes past the 2^64 bound of the deterministic primality test
+    for p in (15, 561, 2047, 3215031751, 2 ** 64 + 13):
+        with pytest.raises(ValueError):
+            PolyRing(("X",), p)
     with pytest.raises(ValueError):
         PolyRing(("2bad",))
+    assert PolyRing(("X", "Y"), 10 ** 18 + 3).p == 10 ** 18 + 3
+
+
+def test_primality_matches_trial_division():
+    def by_trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+    assert all(_is_prime(n) == by_trial(n) for n in range(-3, 20000))
 
 
 def test_units_parse_fine(R):

@@ -27,6 +27,7 @@ from .monomial import (
     monomials_in_prime,
 )
 from .sop import (
+    RETRIES,
     ConstructionResult,
     CyclicModule,
     ParamSequence,
@@ -126,7 +127,7 @@ def _random_element_of(P, degree, rng):
     return acc
 
 
-def construct_reducing_part_in_prime(M, P, r, seed, max_retries=32):
+def construct_reducing_part_in_prime(M, P, r, seed):
     """Build x1..xr in P forming part of a reducing sop of M, stepwise.
 
     Step i draws random homogeneous combinations of P's generators until
@@ -158,7 +159,7 @@ def construct_reducing_part_in_prime(M, P, r, seed, max_retries=32):
         threshold = d - i
         chosen = None
         last = None
-        for _ in range(max_retries):
+        for _ in range(RETRIES):
             attempts += 1
             x = _random_element_of(P, degree, rng)
             if x.is_zero():
@@ -188,7 +189,7 @@ def construct_reducing_part_in_prime(M, P, r, seed, max_retries=32):
     return ConstructionResult(True, xs, attempts)
 
 
-def cm_membership_general(P, M, seed, max_retries=32):
+def cm_membership_general(P, M, seed):
     """Randomized one-sided locus membership for a homogeneous prime.
 
     Primality of P is the caller's assertion and is not verified.  With
@@ -219,7 +220,7 @@ def cm_membership_general(P, M, seed, max_retries=32):
                             certificate=ParamSequence(M.ring, ()),
                             reason="minimal prime of maximal dimension")
     if dim_point == 0:
-        depth = depth_oracle(M, seed, max_retries)
+        depth = depth_oracle(M, seed)
         if depth == d:
             return CmLocusEntry(P, "member", 0, r=d, dim_local=d,
                                 depth_local=d,
@@ -227,7 +228,7 @@ def cm_membership_general(P, M, seed, max_retries=32):
         return CmLocusEntry(P, "non_member", 0, r=d, dim_local=d,
                             depth_local=depth,
                             reason="module is not Cohen-Macaulay")
-    res = construct_reducing_part_in_prime(M, P, r, seed, max_retries)
+    res = construct_reducing_part_in_prime(M, P, r, seed)
     if not res.ok:
         return CmLocusEntry(P, "inconclusive", dim_point, r=r,
                             reason="randomized construction exhausted its retries")

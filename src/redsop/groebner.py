@@ -5,6 +5,14 @@ basis is unique (monic generators, no term divisible by another leading
 term, sorted ascending by leading monomial), so recomputation from any
 permutation or rescaling of the generators returns the identical tuple.
 
+Inside the Buchberger kernel one basis element is one monic record
+``(leading monomial, terms)``, the same record ``poly._nf_raw`` divides
+by.  Each critical pair's selection key (degree and order key of the lcm,
+then the indices) is made once, when the pair is.  After the pairs run
+out, the basis is minimalized and each tail is reduced once against the
+others: the leading monomials of a minimal basis no longer change, so
+one pass leaves every element reduced.
+
 Quotients, saturations, intersections and eliminations all reduce to one
 elimination basis with a tag variable t placed first: ``t*A + (1-t)*B``
 for intersections, ``(J : f) = (J cap (f))/f`` for quotients, and the
@@ -15,8 +23,6 @@ saturation, against the generic and iterated-colon routes.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .poly import (
     GREVLEX,
@@ -38,19 +44,20 @@ def _poly_key(terms):
 
 
 def _monic_for(terms, p, okey):
+    """The monic record (leading monomial, terms) of a nonzero term dict."""
     lm = max(terms, key=okey)
     lc = terms[lm]
     if lc == 1:
-        return terms
+        return lm, terms
     if p:
         inv = pow(lc, p - 2, p)
-        return {m: (c * inv) % p for m, c in terms.items()}
-    return {m: c / lc for m, c in terms.items()}
+        return lm, {m: (c * inv) % p for m, c in terms.items()}
+    return lm, {m: c / lc for m, c in terms.items()}
 
 
-def _spoly(t1, lm1, t2, lm2, p):
-    """S-polynomial of two monic polynomials given as raw dicts."""
-    lcm = mono_lcm(lm1, lm2)
+def _spoly(g1, g2, lcm, p):
+    """S-polynomial of two monic records whose leading monomials have this lcm."""
+    (lm1, t1), (lm2, t2) = g1, g2
     u1 = tuple(a - b for a, b in zip(lcm, lm1))
     u2 = tuple(a - b for a, b in zip(lcm, lm2))
     res = {}
@@ -70,80 +77,46 @@ def _spoly(t1, lm1, t2, lm2, p):
 
 def _buchberger_raw(polys, okey, p):
     """Reduced Groebner basis of raw term dicts, monic, sorted ascending."""
-    G = []
-    lms = []
-    for t in polys:
-        if not t:
-            continue
-        t = _monic_for(t, p, okey)
-        G.append(t)
-        lms.append(max(t, key=okey))
+    G = [_monic_for(t, p, okey) for t in polys if t]
+    # pair (i, j) -> its selection key, made once; the lcm rides at the end
+    pending = {}
 
-    def sel_key(pair):
-        i, j = pair
-        lcm = mono_lcm(lms[i], lms[j])
-        return (sum(lcm), okey(lcm), i, j)
+    def add_pairs(j):
+        lmj = G[j][0]
+        for i in range(j):
+            lcm = mono_lcm(G[i][0], lmj)
+            pending[i, j] = (sum(lcm), okey(lcm), i, j, lcm)
 
-    pending = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
-    done = set()
-    prepped = [(lms[i], 1, 1 if p else None, G[i]) for i in range(len(G))]
+    for j in range(1, len(G)):
+        add_pairs(j)
     while pending:
-        pair = min(pending, key=sel_key)
-        pending.discard(pair)
-        done.add(pair)
+        pair = min(pending, key=pending.__getitem__)
+        lcm = pending.pop(pair)[4]
         i, j = pair
-        lmi, lmj = lms[i], lms[j]
+        lmi, lmj = G[i][0], G[j][0]
         # product criterion: coprime leading monomials
         if all(a == 0 or b == 0 for a, b in zip(lmi, lmj)):
             continue
-        # chain criterion
-        lcm = mono_lcm(lmi, lmj)
-        skip = False
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            if mono_divides(lms[k], lcm):
-                ik = (i, k) if i < k else (k, i)
-                jk = (j, k) if j < k else (k, j)
-                if ik not in pending and jk not in pending:
-                    skip = True
-                    break
-        if skip:
+        # chain criterion: some g_k divides the lcm and both its pairs are done
+        if any(k != i and k != j and mono_divides(lmk, lcm)
+               and ((i, k) if i < k else (k, i)) not in pending
+               and ((j, k) if j < k else (k, j)) not in pending
+               for k, (lmk, _) in enumerate(G)):
             continue
-        h = _nf_raw(_spoly(G[i], lmi, G[j], lmj, p), prepped, okey, p)
+        h = _nf_raw(_spoly(G[i], G[j], lcm, p), G, okey, p)
         if h:
-            h = _monic_for(h, p, okey)
-            lm = max(h, key=okey)
-            G.append(h)
-            lms.append(lm)
-            prepped.append((lm, 1, 1 if p else None, h))
-            new = len(G) - 1
-            pending.update((k, new) for k in range(new))
+            G.append(_monic_for(h, p, okey))
+            add_pairs(len(G) - 1)
 
     # minimalize: drop any element whose leading monomial another one divides
-    order_idx = sorted(range(len(G)), key=lambda i: okey(lms[i]))
-    kept = []
-    for i in order_idx:
-        if not any(mono_divides(lms[k], lms[i]) for k in kept):
-            kept.append(i)
-    basis = [G[i] for i in kept]
-    blms = [lms[i] for i in kept]
-
-    # inter-reduce tails until stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = [(blms[k], 1, 1 if p else None, basis[k])
-                      for k in range(len(basis)) if k != i]
-            r = _nf_raw(basis[i], others, okey, p)
-            r = _monic_for(r, p, okey)
-            if r != basis[i]:
-                basis[i] = r
-                changed = True
-
-    pairs = sorted(zip(blms, basis), key=lambda t: okey(t[0]))
-    return [t for _, t in pairs]
+    basis = []
+    for lm, terms in sorted(G, key=lambda g: okey(g[0])):
+        if not any(mono_divides(klm, lm) for klm, _ in basis):
+            basis.append((lm, terms))
+    # one pass reduces every tail: the leading monomials no longer change
+    for i, (lm, terms) in enumerate(basis):
+        basis[i] = (lm, _nf_raw(terms, basis[:i] + basis[i + 1:], okey, p))
+    return [terms for _, terms in basis]
 
 
 def buchberger(gens, order=GREVLEX):
@@ -411,25 +384,25 @@ class Ideal:
     def dim_quotient(self):
         """Krull dimension of R/J; -1 when J is the unit ideal.
 
-        Maximum size of a variable subset meeting no leading-term support
-        of the reduced grevlex basis, searched exhaustively (n <= 8).
+        Maximum size of a variable subset containing no leading-term
+        support of the reduced grevlex basis: while the free set contains
+        a support, some variable of that support must leave it.
         """
-        n = self.ring.n
-        if n > 8:
-            raise ValueError("dimension search limited to rings with at most 8 variables")
         basis = self.groebner_basis()
         if len(basis) == 1 and basis[0].degree() == 0:
             return -1
-        supports = set()
-        for g in basis:
-            lm = g.leading_monomial()
-            supports.add(frozenset(i for i, e in enumerate(lm) if e))
-        for size in range(n, -1, -1):
-            for combo in itertools.combinations(range(n), size):
-                s = set(combo)
-                if not any(supp <= s for supp in supports):
-                    return size
-        raise RuntimeError("unreachable")  # size 0 always returns for proper ideals
+        supports = [frozenset(i for i, e in enumerate(g.leading_monomial()) if e)
+                    for g in basis]
+
+        memo = {}
+
+        def largest(free):
+            if free not in memo:
+                s = next((s for s in supports if s <= free), None)
+                memo[free] = len(free) if s is None else max(largest(free - {v}) for v in s)
+            return memo[free]
+
+        return largest(frozenset(range(self.ring.n)))
 
     def __str__(self):
         return "(" + ", ".join(str(g) for g in self.gens) + ")"

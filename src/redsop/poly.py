@@ -363,14 +363,7 @@ class Polynomial:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = self.ring.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _power(self, k, Polynomial.__mul__)
 
     def monic(self, order=GREVLEX):
         if not self.terms:
@@ -416,8 +409,22 @@ class Polynomial:
         return f"<{self} in {self.ring}>"
 
 
+def _power(base, k, mul):
+    """base^k for an int k >= 0, by square-and-multiply through ``mul``."""
+    result = base.ring.one
+    while k:
+        if k & 1:
+            result = mul(result, base)
+        base = mul(base, base) if k > 1 else base
+        k >>= 1
+    return result
+
+
 # ---------------------------------------------------------------------------
 # parsing
+
+# term products (len(a) * len(b) per multiplication) one expression may spend
+PARSE_PRODUCT_BUDGET = 100_000
 
 _OPERATORS = set("+-*^()")
 
@@ -460,6 +467,15 @@ class _Parser:
         self.tokens = tokens
         self.ring = ring
         self.k = 0
+        self.budget = PARSE_PRODUCT_BUDGET
+
+    def mul(self, a, b, pos):
+        """a * b, refused before it would overspend the product budget."""
+        self.budget -= len(a) * len(b)
+        if self.budget < 0:
+            raise ParseError(f"expression too large: more than {PARSE_PRODUCT_BUDGET} "
+                             "term products", pos)
+        return a * b
 
     def peek(self):
         return self.tokens[self.k][0]
@@ -480,15 +496,13 @@ class _Parser:
     def term(self):
         node = self.unary()
         while True:
-            kind = self.peek()
+            kind, _, pos = self.tokens[self.k]
             if kind == "*":
                 self.next()
-                node = node * self.unary()
-            elif kind in ("int", "var", "("):
-                # implicit multiplication of adjacent symbols, e.g. "XY", "2X"
-                node = node * self.unary()
-            else:
+            elif kind not in ("int", "var", "("):
                 return node
+            # "*" or implicit multiplication of adjacent symbols, e.g. "XY", "2X"
+            node = self.mul(node, self.unary(), pos)
 
     def unary(self):
         if self.peek() == "-":
@@ -503,7 +517,7 @@ class _Parser:
             kind, value, pos = self.next()
             if kind != "int":
                 raise ParseError("expected integer exponent after '^'", pos)
-            base = base ** value
+            base = _power(base, value, lambda a, b: self.mul(a, b, pos))
         return base
 
     def atom(self):
@@ -538,34 +552,21 @@ def parse_poly(text, ring):
 # ---------------------------------------------------------------------------
 # division
 
-def _prep_basis(basis_terms, okey, p):
-    prepped = []
-    for t in basis_terms:
-        if not t:
-            raise ValueError("basis elements must be nonzero")
-        lm = max(t, key=okey)
-        lc = t[lm]
-        inv = pow(lc, p - 2, p) if p else None
-        prepped.append((lm, lc, inv, t))
-    return prepped
-
-
-def _nf_raw(fterms, prepped, okey, p):
-    """Remainder of division by a prepared basis; raw dicts in and out."""
+def _nf_raw(fterms, basis, okey, p):
+    """Remainder of division by monic (leading monomial, terms) records; raw dicts."""
     work = dict(fterms)
     rem = {}
     while work:
         lm = max(work, key=okey)
         lc = work.pop(lm)
-        for glm, glc, ginv, gterms in prepped:
+        for glm, gterms in basis:
             if all(a <= b for a, b in zip(glm, lm)):
                 q = tuple(b - a for a, b in zip(glm, lm))
-                factor = (lc * ginv) % p if p else lc / glc
                 for gm, gc in gterms.items():
                     if gm == glm:
                         continue
                     mm = tuple(x + y for x, y in zip(gm, q))
-                    v = work.get(mm, 0) - factor * gc
+                    v = work.get(mm, 0) - lc * gc
                     if p:
                         v %= p
                     if v:
@@ -587,12 +588,13 @@ def normal_form(f, basis, order=GREVLEX):
     for g in basis:
         if f.ring != g.ring:
             raise ValueError("ring mismatch")
-    return _normal_form(f, basis, order)
+        if not g.terms:
+            raise ValueError("basis elements must be nonzero")
+    return _normal_form(f, [g.monic(order) for g in basis], order)
 
 
 def _normal_form(f, basis, order):
-    """:func:`normal_form` for a basis already known to share f's ring."""
+    """:func:`normal_form` for monic basis polynomials of f's ring."""
     okey = order.key
-    p = f.ring.p
-    prepped = _prep_basis([g.terms for g in basis], okey, p)
-    return Polynomial(f.ring, _nf_raw(f.terms, prepped, okey, p), _raw=True)
+    records = [(max(g.terms, key=okey), g.terms) for g in basis]
+    return Polynomial(f.ring, _nf_raw(f.terms, records, okey, f.ring.p), _raw=True)

@@ -33,6 +33,10 @@ from .poly import (
     monomials_of_degree,
 )
 
+# Random draws per search step; make_reducing tries the identity first,
+# then RETRIES transforms.
+RETRIES = 32
+
 
 class RetryBudgetError(RuntimeError):
     """A verified randomized search ran out of retries.
@@ -390,7 +394,7 @@ def _better(old, new):
     return new if (new.index or 0) > (old.index or 0) else old
 
 
-def make_reducing(xs, M, seed, max_retries=32):
+def make_reducing(xs, M, seed):
     """Rearrange a system of parameters, or part of one, into a reducing one.
 
     Applies verified random degree-preserving invertible transforms (the
@@ -404,7 +408,7 @@ def make_reducing(xs, M, seed, max_retries=32):
         raise ValueError("input is not part of a system of parameters")
     rng = random.Random(seed)
     best = None
-    for attempt in range(max_retries + 1):
+    for attempt in range(RETRIES + 1):
         ys = xs if attempt == 0 else _degree_block_transform(xs, rng)
         check = is_reducing_sop(ys, M)
         if check.ok:
@@ -412,10 +416,10 @@ def make_reducing(xs, M, seed, max_retries=32):
                 raise RuntimeError("transform changed the generated ideal")
             return ConstructionResult(True, ys, attempt)
         best = _better(best, check.witness)
-    return ConstructionResult(False, None, max_retries + 1, best)
+    return ConstructionResult(False, None, RETRIES + 1, best)
 
 
-def random_sop(M, seed, max_retries=32):
+def random_sop(M, seed):
     """Random system of parameters made of degree-one forms.
 
     Each prefix is verified to drop the dimension by exactly one, so the
@@ -426,7 +430,7 @@ def random_sop(M, seed, max_retries=32):
     J = M.ideal
     d = M.d
     for i in range(1, d + 1):
-        for _ in range(max_retries):
+        for _ in range(RETRIES):
             x = random_linear_form(M.ring, rng)
             K = J + (x,)
             if K.dim_quotient() == d - i:
@@ -438,7 +442,7 @@ def random_sop(M, seed, max_retries=32):
     return ParamSequence(M.ring, elems)
 
 
-def depth_with_certificate(M, seed=0, max_retries=32):
+def depth_with_certificate(M, seed=0):
     """Depth of M together with the verified regular sequence it used.
 
     depth = 0 is certified by (J : m) != J, i.e. a nonzero socle; every
@@ -452,7 +456,7 @@ def depth_with_certificate(M, seed=0, max_retries=32):
     J = M.ideal
     cuts = []
     while True:
-        for attempt in range(max_retries):
+        for attempt in range(RETRIES):
             x = random_linear_form(ring, rng)
             if J.quotient(x) == J:
                 J = J + (x,)
@@ -466,12 +470,12 @@ def depth_with_certificate(M, seed=0, max_retries=32):
             raise RuntimeError("depth exceeded the number of variables")
 
 
-def depth_oracle(M, seed=0, max_retries=32):
+def depth_oracle(M, seed=0):
     """Depth of M by greedy certified cuts with random degree-one forms."""
-    return depth_with_certificate(M, seed, max_retries)[0]
+    return depth_with_certificate(M, seed)[0]
 
 
-def is_cm_reducing(M, seed, max_retries=32):
+def is_cm_reducing(M, seed):
     """Cohen-Macaulay test by one colon comparison on a reducing sop.
 
     Builds a verified random sop, rearranges it into a reducing one, and
@@ -484,8 +488,8 @@ def is_cm_reducing(M, seed, max_retries=32):
     rng = random.Random(seed)
     s1 = rng.getrandbits(64)
     s2 = rng.getrandbits(64)
-    xs = random_sop(M, s1, max_retries)
-    res = make_reducing(xs, M, s2, max_retries)
+    xs = random_sop(M, s1)
+    res = make_reducing(xs, M, s2)
     if not res.ok:
         raise RetryBudgetError("failed to build a reducing system of parameters")
     ys = res.sequence
@@ -494,6 +498,6 @@ def is_cm_reducing(M, seed, max_retries=32):
     return nzd, CmCertificate(M.d, ys, nzd)
 
 
-def is_cm_depth(M, seed=0, max_retries=32):
+def is_cm_depth(M, seed=0):
     """Cohen-Macaulay test by the independent depth oracle."""
-    return depth_oracle(M, seed, max_retries) == M.d
+    return depth_oracle(M, seed) == M.d

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -130,6 +131,24 @@ def test_cm_locus_command():
 def test_parse_error_exit_code():
     report, code = run("ring [X,Y,Z] p=32003\nideal X +* Y\ndim\n")
     assert code == EXIT_INPUT_ERROR and "line 2" in report["error"]
+
+
+def test_dim_beyond_eight_variables():
+    report, code = run("ring [A,B,C,D,E,F,G,H,I]\nideal AB\ndim\n")
+    assert code == EXIT_OK and report["dim"] == 8
+
+
+@pytest.mark.parametrize("expr", ["(X+Y+Z+W)^40", "(X+Y+Z+W)^20*(X+Y+Z+W)^20",
+                                  "(X+Y+Z)^3000"])
+def test_parser_budget_refuses_expression_bombs(expr, capsys):
+    from redsop.cli import main
+
+    start = time.monotonic()
+    code = main(["run", "-e", f"ring [X,Y,Z,W] p=32003\nideal {expr}\ndim\n"])
+    elapsed = time.monotonic() - start
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_INPUT_ERROR and report["status"] == "input_error"
+    assert "too large" in report["error"] and elapsed < 1.0
 
 
 def test_non_homogeneous_input_rejected():

@@ -5,6 +5,7 @@ import pytest
 from redsop import Ideal, PolyRing, buchberger
 from redsop.corpus import default_ring, random_monomial_ideal
 from redsop.monomial import monomial_intersection, oracle_dim
+from redsop.suites import run_suites
 
 
 def gb_strs(ideal_or_basis):
@@ -135,8 +136,20 @@ def test_dim_quotient(R):
 
 def test_dim_quotient_variable_cap():
     big = PolyRing(tuple(f"x{i}" for i in range(9)))
-    with pytest.raises(ValueError):
-        Ideal(big, ()).dim_quotient()
+    assert Ideal(big, ()).dim_quotient() == 9
+    rng = random.Random(29)
+    for n in range(9, 13):
+        ring = PolyRing(tuple(f"x{i}" for i in range(n)))
+        for _ in range(10):
+            J = random_monomial_ideal(ring, rng, 6, 3)
+            if J.is_proper():
+                assert J.dim_quotient() == oracle_dim(J)
+
+
+@pytest.mark.parametrize("p", [0, 2])
+def test_kernel_suite_over_other_fields(p):
+    result = run_suites(["kernel"], 90125, 40, p=p)[0]
+    assert result.instances == 40 and result.violations == 0
 
 
 def test_determinism_under_permutation_and_rescaling(R):

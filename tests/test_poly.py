@@ -115,6 +115,18 @@ def test_normal_form_single_step(R):
     assert normal_form(R.poly("X^2Y + Z"), [R.poly("XY")]) == R.poly("Z")
 
 
+@pytest.mark.parametrize("p", [0, 32003])
+def test_normal_form_non_monic_basis(p):
+    R = PolyRing(("X", "Y", "Z"), p)
+    cases = [("X^2Y + Z", ["2XY"], R.poly("Z")),
+             ("3X^2 + Y", ["2X + Y"], R.poly("3Y^2 + 4Y").scale(R.coeff_inv(R.coeff(4))))]
+    for f, basis, expected in cases:
+        gens = [R.poly(g) for g in basis]
+        rem = normal_form(R.poly(f), gens)
+        assert rem == expected
+        assert rem == normal_form(R.poly(f), [g.monic() for g in gens])
+
+
 def test_normal_form_rejects_zero_basis(R):
     with pytest.raises(ValueError):
         normal_form(R.poly("X"), [R.zero])

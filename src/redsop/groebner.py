@@ -38,6 +38,9 @@ from .poly import (
 _GB_CACHE = {}
 _GB_CACHE_LIMIT = 8192
 
+# free sets dim_quotient may visit; no ring of at most 12 variables needs more
+DIM_SEARCH_BUDGET = 1 << 12
+
 
 def _poly_key(terms):
     return tuple(sorted(terms.items()))
@@ -386,7 +389,8 @@ class Ideal:
 
         Maximum size of a variable subset containing no leading-term
         support of the reduced grevlex basis: while the free set contains
-        a support, some variable of that support must leave it.
+        a support, some variable of that support must leave it.  Raises
+        ValueError once the search visits more than DIM_SEARCH_BUDGET sets.
         """
         basis = self.groebner_basis()
         if len(basis) == 1 and basis[0].degree() == 0:
@@ -398,6 +402,8 @@ class Ideal:
 
         def largest(free):
             if free not in memo:
+                if len(memo) >= DIM_SEARCH_BUDGET:
+                    raise ValueError(f"dimension search too large: over {DIM_SEARCH_BUDGET} sets")
                 s = next((s for s in supports if s <= free), None)
                 memo[free] = len(free) if s is None else max(largest(free - {v}) for v in s)
             return memo[free]

@@ -15,6 +15,9 @@ from dataclasses import dataclass
 from .groebner import Ideal, _minimalize_monomials, _monomial_ideal
 from .poly import Polynomial, PolyRing, mono_lcm
 
+# monomial_primes lists all 2^n primes; beyond this many variables it refuses
+MONOMIAL_PRIME_VARS = 8
+
 
 @dataclass(frozen=True)
 class MonomialPrime:
@@ -229,8 +232,10 @@ def is_zero_divisor_oracle(f, J):
 
 
 def monomial_primes(ring):
-    """Every monomial prime of the ring, the zero prime included."""
+    """All 2^n monomial primes, the zero prime included; n > MONOMIAL_PRIME_VARS raises."""
     names = ring.var_names
+    if len(names) > MONOMIAL_PRIME_VARS:
+        raise ValueError(f"monomial primes are listed for at most {MONOMIAL_PRIME_VARS} variables")
     out = []
     for mask in range(1 << len(names)):
         sub = frozenset(n for i, n in enumerate(names) if mask >> i & 1)

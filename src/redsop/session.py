@@ -52,6 +52,10 @@ EXIT_INPUT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
 
+# only these commands accept rings of more than MAX_VARS variables (see README)
+DIMENSION_COMMANDS = ("dim", "is-sop")
+MAX_VARS = 8
+
 COMMANDS = (
     "dim",
     "ass",
@@ -371,6 +375,8 @@ def _dispatch(session, seed, report):
         return check_theorems(report, tokens[0], options, seed)
 
     M = _module(session)
+    if cmd not in DIMENSION_COMMANDS and M.ring.n > MAX_VARS:
+        raise ValueError(f"{cmd} is limited to rings with at most {MAX_VARS} variables")
     report["input"]["dim"] = M.d
 
     if cmd == "dim":

@@ -138,6 +138,24 @@ def test_dim_beyond_eight_variables():
     assert code == EXIT_OK and report["dim"] == 8
 
 
+def _wide_ring(n):
+    return "ring [" + ",".join(f"x{i}" for i in range(n)) + "]\n"
+
+
+@pytest.mark.parametrize("text", [
+    _wide_ring(30) + "ideal x0\ncm-locus 0\n",
+    _wide_ring(30) + "ideal x0\nass\n",
+    _wide_ring(20) + "ideal x0*x1\ndepth\n",
+    _wide_ring(40) + "ideal " + ", ".join(f"x{2 * i}*x{2 * i + 1}" for i in range(20)) + "\ndim\n",
+])
+def test_wide_rings_are_refused_at_once(text):
+    start = time.monotonic()
+    report, code = run(text)
+    elapsed = time.monotonic() - start
+    assert code == EXIT_INPUT_ERROR and report["status"] == "input_error"
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize("expr", ["(X+Y+Z+W)^40", "(X+Y+Z+W)^20*(X+Y+Z+W)^20",
                                   "(X+Y+Z)^3000"])
 def test_parser_budget_refuses_expression_bombs(expr, capsys):

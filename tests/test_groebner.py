@@ -146,6 +146,18 @@ def test_dim_quotient_variable_cap():
                 assert J.dim_quotient() == oracle_dim(J)
 
 
+def test_dim_search_budget():
+    # k disjoint pairs make the search visit 2^(k+1) - 1 free sets
+    for k, fits in ((11, True), (12, False)):
+        ring = PolyRing(tuple(f"x{i}" for i in range(2 * k)))
+        J = ring.ideal(*(f"x{2 * i}*x{2 * i + 1}" for i in range(k)))
+        if fits:
+            assert J.dim_quotient() == k
+        else:
+            with pytest.raises(ValueError, match="too large"):
+                J.dim_quotient()
+
+
 @pytest.mark.parametrize("p", [0, 2])
 def test_kernel_suite_over_other_fields(p):
     result = run_suites(["kernel"], 90125, 40, p=p)[0]

@@ -137,6 +137,9 @@ def test_monomial_prime_enumeration(R):
         frozenset({"X"}), frozenset({"Y", "Z"}),
         frozenset({"X", "Y"}), frozenset({"X", "Z"}),
         frozenset({"X", "Y", "Z"})}
+    assert len(monomial_primes(PolyRing(tuple(f"x{i}" for i in range(8))))) == 256
+    with pytest.raises(ValueError):
+        monomial_primes(PolyRing(tuple(f"x{i}" for i in range(9))))
 
 
 def test_decomposition_soundness_random():

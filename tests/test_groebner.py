@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from redsop import Ideal, PolyRing, buchberger
+from redsop import GREVLEX, LEX, EliminationOrder, Ideal, Polynomial, PolyRing, buchberger
 from redsop.corpus import default_ring, random_monomial_ideal
 from redsop.monomial import monomial_intersection, oracle_dim
 from redsop.suites import run_suites
@@ -196,3 +197,31 @@ def test_ideal_generator_ring_check(R):
     other = PolyRing(("A", "B"))
     with pytest.raises(ValueError):
         Ideal(R, [other.poly("A")])
+
+
+def _pinned_ideals(ring, rng, count):
+    """Seeded 3-generator ideals, each with at least one non-monomial generator."""
+    ideals = []
+    while len(ideals) < count:
+        gens = []
+        for _ in range(3):
+            terms = {}
+            for _ in range(rng.randint(2, 3)):
+                terms[tuple(rng.randint(0, 2) for _ in range(ring.n))] = rng.choice((1, -1, 2, 3, -5))
+            gens.append(Polynomial(ring, terms))
+        if any(len(g) > 1 for g in gens):
+            ideals.append(gens)
+    return ideals
+
+
+def test_reduced_bases_are_pinned_under_every_order():
+    # 120 reduced bases: 10 ideals per field, each under four orders; the
+    # digest was recorded before the kernel's order keys were memoized
+    lines = []
+    for p in (32003, 0, 2):
+        ring = PolyRing(("X", "Y", "Z"), p)
+        for gens in _pinned_ideals(ring, random.Random(p), 10):
+            for order in (GREVLEX, LEX, EliminationOrder(1), EliminationOrder(2)):
+                lines.append(" ; ".join(str(g) for g in buchberger(gens, order)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "47302127af96fcad4cfead0a56adb317101d39979d8cb1caa2f342419151cc98"

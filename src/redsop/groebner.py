@@ -24,6 +24,9 @@ saturation, against the generic and iterated-colon routes.
 
 from __future__ import annotations
 
+import functools
+from operator import add, sub
+
 from .poly import (
     GREVLEX,
     EliminationOrder,
@@ -61,13 +64,11 @@ def _monic_for(terms, p, okey):
 def _spoly(g1, g2, lcm, p):
     """S-polynomial of two monic records whose leading monomials have this lcm."""
     (lm1, t1), (lm2, t2) = g1, g2
-    u1 = tuple(a - b for a, b in zip(lcm, lm1))
-    u2 = tuple(a - b for a, b in zip(lcm, lm2))
-    res = {}
-    for m, c in t1.items():
-        res[tuple(x + y for x, y in zip(m, u1))] = c
+    u1 = tuple(map(sub, lcm, lm1))
+    u2 = tuple(map(sub, lcm, lm2))
+    res = {tuple(map(add, m, u1)): c for m, c in t1.items()}
     for m, c in t2.items():
-        mm = tuple(x + y for x, y in zip(m, u2))
+        mm = tuple(map(add, m, u2))
         v = res.get(mm, 0) - c
         if p:
             v %= p
@@ -80,6 +81,7 @@ def _spoly(g1, g2, lcm, p):
 
 def _buchberger_raw(polys, okey, p):
     """Reduced Groebner basis of raw term dicts, monic, sorted ascending."""
+    okey = functools.cache(okey)  # each monomial is keyed once per call
     G = [_monic_for(t, p, okey) for t in polys if t]
     # pair (i, j) -> its selection key, made once; the lcm rides at the end
     pending = {}
@@ -98,7 +100,7 @@ def _buchberger_raw(polys, okey, p):
         i, j = pair
         lmi, lmj = G[i][0], G[j][0]
         # product criterion: coprime leading monomials
-        if all(a == 0 or b == 0 for a, b in zip(lmi, lmj)):
+        if not any(map(min, lmi, lmj)):
             continue
         # chain criterion: some g_k divides the lcm and both its pairs are done
         if any(k != i and k != j and mono_divides(lmk, lcm)
@@ -437,13 +439,13 @@ def _exact_div(g, f):
         lc = work.pop(lm)
         if not mono_divides(fm, lm):
             raise RuntimeError("exact division left a remainder")
-        qm = tuple(a - b for a, b in zip(lm, fm))
+        qm = tuple(map(sub, lm, fm))
         qc = (lc * finv) % p if p else lc * finv
         quot[qm] = qc
         for tm, tc in f.terms.items():
             if tm == fm:
                 continue
-            mm = tuple(x + y for x, y in zip(tm, qm))
+            mm = tuple(map(add, tm, qm))
             v = work.get(mm, 0) - qc * tc
             if p:
                 v %= p

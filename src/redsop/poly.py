@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 
 
 class ParseError(ValueError):
@@ -59,16 +60,16 @@ def _is_prime(p):
 # monomials (bare exponent tuples)
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(x if x >= y else y for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_divides(a, b):
     """True when a | b, i.e. componentwise a <= b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomials_of_degree(n, d):
@@ -338,7 +339,7 @@ class Polynomial:
         res = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 v = res.get(m, 0) + c1 * c2
                 if p:
                     v %= p
@@ -560,12 +561,12 @@ def _nf_raw(fterms, basis, okey, p):
         lm = max(work, key=okey)
         lc = work.pop(lm)
         for glm, gterms in basis:
-            if all(a <= b for a, b in zip(glm, lm)):
-                q = tuple(b - a for a, b in zip(glm, lm))
+            if all(map(le, glm, lm)):
+                q = tuple(map(sub, lm, glm))
                 for gm, gc in gterms.items():
                     if gm == glm:
                         continue
-                    mm = tuple(x + y for x, y in zip(gm, q))
+                    mm = tuple(map(add, gm, q))
                     v = work.get(mm, 0) - lc * gc
                     if p:
                         v %= p

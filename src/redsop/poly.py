@@ -426,6 +426,8 @@ def _power(base, k, mul):
 
 # term products (len(a) * len(b) per multiplication) one expression may spend
 PARSE_PRODUCT_BUDGET = 100_000
+# bits a parsed coefficient may reach; over a prime field every one is below p
+PARSE_COEFF_BITS = 4096
 
 _OPERATORS = set("+-*^()")
 
@@ -463,6 +465,11 @@ def _tokenize(text, ring):
     return tokens
 
 
+def _coeff_bits(f):
+    """Bit length of f's largest coefficient (numerator; parsed ones are integers)."""
+    return max((abs(c.numerator).bit_length() for c in f.terms.values()), default=0)
+
+
 class _Parser:
     def __init__(self, tokens, ring):
         self.tokens = tokens
@@ -471,12 +478,18 @@ class _Parser:
         self.budget = PARSE_PRODUCT_BUDGET
 
     def mul(self, a, b, pos):
-        """a * b, refused before it would overspend the product budget."""
+        """a * b, refused before it would overspend the product budget or
+        grow a coefficient past PARSE_COEFF_BITS."""
         self.budget -= len(a) * len(b)
         if self.budget < 0:
             raise ParseError(f"expression too large: more than {PARSE_PRODUCT_BUDGET} "
                              "term products", pos)
+        self.check_coeffs(_coeff_bits(a) + _coeff_bits(b), pos)
         return a * b
+
+    def check_coeffs(self, bits, pos):
+        if bits > PARSE_COEFF_BITS:
+            raise ParseError(f"coefficient too large: more than {PARSE_COEFF_BITS} bits", pos)
 
     def peek(self):
         return self.tokens[self.k][0]
@@ -524,7 +537,9 @@ class _Parser:
     def atom(self):
         kind, value, pos = self.next()
         if kind == "int":
-            return self.ring.const(value)
+            node = self.ring.const(value)
+            self.check_coeffs(_coeff_bits(node), pos)
+            return node
         if kind == "var":
             return self.ring.gen(value)
         if kind == "(":

@@ -169,6 +169,18 @@ def test_parser_budget_refuses_expression_bombs(expr, capsys):
     assert "too large" in report["error"] and elapsed < 1.0
 
 
+@pytest.mark.parametrize("expr", ["3^40000000*X", "3^3000000*X"])
+def test_parser_refuses_coefficient_bombs(expr):
+    start = time.monotonic()
+    report, code = run(f"ring [X,Y] p=0\nideal {expr}\ndim\n")
+    elapsed = time.monotonic() - start
+    assert code == EXIT_INPUT_ERROR and report["status"] == "input_error"
+    assert "coefficient too large" in report["error"] and elapsed < 1.0
+    # over a prime field the constant reduces mod p, so the same input answers
+    report, code = run(f"ring [X,Y] p=32003\nideal {expr}\ndim\n")
+    assert code == EXIT_OK and report["status"] == "ok"
+
+
 def test_non_homogeneous_input_rejected():
     report, code = run("ring [X,Y] p=32003\nideal X^2 + Y\ndim\n")
     assert code == EXIT_INPUT_ERROR

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -225,3 +226,30 @@ def test_reduced_bases_are_pinned_under_every_order():
                 lines.append(" ; ".join(str(g) for g in buchberger(gens, order)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "47302127af96fcad4cfead0a56adb317101d39979d8cb1caa2f342419151cc98"
+
+
+def _monic_terms(terms, lead, p):
+    """Frozen monic form of a coefficient map, given its leading monomial."""
+    if p:
+        inv = pow(terms[lead] % p, p - 2, p)
+        return frozenset((m, c * inv % p) for m, c in terms.items() if c % p)
+    return frozenset((m, c / terms[lead]) for m, c in terms.items() if c)
+
+
+@pytest.mark.parametrize("p", [32003, 0])
+def test_buchberger_agrees_with_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    ring = PolyRing(("X", "Y", "Z"), p)
+    syms = sympy.symbols("X Y Z")
+    options = {"modulus": p} if p else {}
+    for gens in _pinned_ideals(ring, random.Random(1000 + p), 30):
+        ours = {_monic_terms(g.terms, g.leading_monomial(), p) for g in buchberger(gens, GREVLEX)}
+        exprs = [sum(int(c) * sympy.Mul(*(x ** e for x, e in zip(syms, m))) for m, c in g.terms.items())
+                 for g in gens]
+        theirs = set()
+        for q in sympy.groebner(exprs, *syms, order="grevlex", **options).polys:
+            # sympy prints residues mod p symmetrically and keeps integer content over QQ
+            terms = {m: Fraction(int(c.p), int(c.q)) if not p else int(c) % p
+                     for m, c in q.as_dict().items()}
+            theirs.add(_monic_terms(terms, q.monoms(order="grevlex")[0], p))
+        assert ours == theirs

@@ -7,8 +7,10 @@ permutation or rescaling of the generators returns the identical tuple.
 
 Inside the Buchberger kernel one basis element is one monic record
 ``(leading monomial, terms)``, the same record ``poly._nf_raw`` divides
-by.  Each critical pair's selection key (degree and order key of the lcm,
-then the indices) is made once, when the pair is.  After the pairs run
+by.  Order keys are memoized for the length of one call, so each monomial
+is keyed once per basis however often division revisits it.  Each
+critical pair's selection key (degree and order key of the lcm, then the
+indices) is made once, when the pair is.  After the pairs run
 out, the basis is minimalized and each tail is reduced once against the
 others: the leading monomials of a minimal basis no longer change, so
 one pass leaves every element reduced.

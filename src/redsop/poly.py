@@ -446,7 +446,11 @@ def _tokenize(text, ring):
             j = i
             while j < size and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                tokens.append(("int", int(text[i:j]), i))
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"coefficient too large: more than {PARSE_COEFF_BITS} bits",
+                                 i) from None
             i = j
         elif ch.isalpha() or ch == "_":
             for name in names:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -224,3 +225,11 @@ def test_units_parse_fine(R):
     # degree-0 polynomials are units and parse without complaint
     assert R.poly("7").degree() == 0
     assert R.poly("7 - 7").is_zero()
+
+
+def test_parse_refuses_oversized_literals():
+    rational = PolyRing(("X",), 0)
+    assert rational.poly("9" * 1000 + "X").terms == {(1,): Fraction(int("9" * 1000))}
+    for digits in (2000, 5000):
+        with pytest.raises(ParseError, match="coefficient too large"):
+            rational.poly("9" * digits + "X")

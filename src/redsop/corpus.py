@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .groebner import _monomial_ideal
+from .groebner import _monomial_ideal, monomial_dim
 from .poly import Polynomial, PolyRing, monomials_of_degree
 from .sop import CyclicModule
 
@@ -134,10 +134,15 @@ def greedy_monomial_sequence(M, length, rng, step_tries=24):
 
     Builds part of a system of parameters out of monomials when the
     candidate pool allows it; returns None when some step gets stuck
-    (many modules admit no monomial parameters at all).
+    (many modules admit no monomial parameters at all).  M must be a
+    monomial module: each candidate is judged by :func:`monomial_dim` on
+    the exponents of its ideal plus the steps so far.
     """
     ring = M.ring
-    J = M.ideal
+    exps = M.ideal.monomial_exponents()
+    if exps is None:
+        raise ValueError("greedy monomial sequences need a monomial module")
+    exps = list(exps)
     d = M.d
     elems = []
     for i in range(1, length + 1):
@@ -150,15 +155,9 @@ def greedy_monomial_sequence(M, length, rng, step_tries=24):
         for _ in range(step_tries):
             candidates.append(random_monomial(rng, ring.n, 3))
         rng.shuffle(candidates)
-        step = None
-        for m in candidates:
-            x = Polynomial(ring, {m: 1})
-            K = J + (x,)
-            if K.dim_quotient() == d - i:
-                step = x
-                break
+        step = next((m for m in candidates if monomial_dim(ring.n, exps + [m]) == d - i), None)
         if step is None:
             return None
-        elems.append(step)
-        J = J + (step,)
+        elems.append(Polynomial(ring, {step: 1}))
+        exps.append(step)
     return elems

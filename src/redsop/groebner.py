@@ -22,6 +22,13 @@ Rabinowitsch form ``(J : f^inf) = (J + (1 - t*f)) cap R`` for saturations,
 whose unit test also decides radical membership.  Monomial ideals take
 exact combinatorial shortcuts; the verification suites pin them, and the
 saturation, against the generic and iterated-colon routes.
+
+Dimension is one search over supports held as bit masks
+(:func:`monomial_dim`): a monomial generator set passes its own
+exponents and needs no basis, any other ideal the leading monomials of
+its reduced grevlex basis.  A monomial generator set also answers
+``is_unit`` without a basis: it generates the unit ideal exactly when
+one generator is a nonzero constant.
 """
 
 from __future__ import annotations
@@ -173,6 +180,36 @@ def _minimalize_monomials(exps):
     return kept
 
 
+def monomial_dim(n, exps):
+    """Krull dimension of k[x_0..x_{n-1}]/(x^e : e in exps); -1 for the unit ideal.
+
+    The largest set of variables containing no generator's support, that
+    is n minus the fewest variables meeting every support (Stanley-Reisner;
+    Bruns & Herzog, Cohen-Macaulay Rings, 5.1).  Supports are bit masks;
+    while the free set contains a support, some variable of that support
+    must leave it, and the search branches on each.  Raises ValueError
+    once it visits more than DIM_SEARCH_BUDGET free sets.
+    """
+    supports = []  # (mask, its one-variable masks)
+    for m in exps:
+        bits = tuple(1 << i for i, e in enumerate(m) if e)
+        if not bits:  # a nonzero constant generator
+            return -1
+        supports.append((sum(bits), bits))
+    memo = {}
+
+    def largest(free):
+        if free not in memo:
+            if len(memo) >= DIM_SEARCH_BUDGET:
+                raise ValueError(f"dimension search too large: over {DIM_SEARCH_BUDGET} sets")
+            bits = next((bits for s, bits in supports if s & free == s), None)
+            memo[free] = (free.bit_count() if bits is None
+                          else max(largest(free ^ b) for b in bits))
+        return memo[free]
+
+    return largest((1 << n) - 1)
+
+
 def _fresh_name(base, taken):
     name = base
     while name in taken:
@@ -243,6 +280,9 @@ class Ideal:
         return not self.groebner_basis()
 
     def is_unit(self):
+        exps = self.monomial_exponents()
+        if exps is not None:  # a term generates the unit ideal iff it is constant
+            return not all(map(any, exps))
         basis = self.groebner_basis()
         return len(basis) == 1 and basis[0].degree() == 0
 
@@ -391,28 +431,16 @@ class Ideal:
     def dim_quotient(self):
         """Krull dimension of R/J; -1 when J is the unit ideal.
 
-        Maximum size of a variable subset containing no leading-term
-        support of the reduced grevlex basis: while the free set contains
-        a support, some variable of that support must leave it.  Raises
-        ValueError once the search visits more than DIM_SEARCH_BUDGET sets.
+        R/J and R/in(J) have the same dimension, so this is
+        :func:`monomial_dim` of J's own exponents when every generator is
+        a term, and of the leading monomials of the reduced grevlex basis
+        otherwise; only the second needs a basis.  Raises ValueError when
+        the search passes DIM_SEARCH_BUDGET.
         """
-        basis = self.groebner_basis()
-        if len(basis) == 1 and basis[0].degree() == 0:
-            return -1
-        supports = [frozenset(i for i, e in enumerate(g.leading_monomial()) if e)
-                    for g in basis]
-
-        memo = {}
-
-        def largest(free):
-            if free not in memo:
-                if len(memo) >= DIM_SEARCH_BUDGET:
-                    raise ValueError(f"dimension search too large: over {DIM_SEARCH_BUDGET} sets")
-                s = next((s for s in supports if s <= free), None)
-                memo[free] = len(free) if s is None else max(largest(free - {v}) for v in s)
-            return memo[free]
-
-        return largest(frozenset(range(self.ring.n)))
+        exps = self.monomial_exponents()
+        if exps is None:
+            exps = [g.leading_monomial() for g in self.groebner_basis()]
+        return monomial_dim(self.ring.n, exps)
 
     def __str__(self):
         return "(" + ", ".join(str(g) for g in self.gens) + ")"

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from redsop import GREVLEX, LEX, EliminationOrder, Ideal, Polynomial, PolyRing, buchberger
-from redsop.corpus import default_ring, random_monomial_ideal
+from redsop import GREVLEX, LEX, EliminationOrder, Ideal, Polynomial, PolyRing, buchberger, groebner
+from redsop.corpus import CorpusSpec, default_ring, fixtures, random_monomial_ideal
 from redsop.monomial import monomial_intersection, oracle_dim
+from redsop.sop import _random_invertible
 from redsop.suites import run_suites
 
 
@@ -158,6 +159,57 @@ def test_dim_search_budget():
         else:
             with pytest.raises(ValueError, match="too large"):
                 J.dim_quotient()
+
+
+@pytest.fixture
+def no_basis(monkeypatch):
+    """Fail any basis computation: monomial generator sets must not need one."""
+    def refuse(gens, order=GREVLEX):
+        raise AssertionError("a basis was computed")
+
+    monkeypatch.setattr(groebner, "buchberger", refuse)
+
+
+def test_monomial_dimension_edge_cases(R, no_basis):
+    unit = R.ideal("3*X", "5")
+    assert unit.dim_quotient() == -1 and unit.is_unit()
+    mixed = Ideal(R, [R.zero, R.poly("XY"), R.zero, R.poly("XZ")])
+    assert mixed.dim_quotient() == 2 and not mixed.is_unit()
+    assert Ideal(R, [R.zero]).dim_quotient() == 3
+    wide = PolyRing(tuple(f"x{i}" for i in range(40)))
+    assert Ideal(wide, ()).dim_quotient() == 40
+    assert Ideal(wide, [wide.zero]).dim_quotient() == 40
+    pairs = wide.ideal(*(f"x{2 * i}*x{2 * i + 1}" for i in range(20)))
+    with pytest.raises(ValueError, match="too large"):
+        pairs.dim_quotient()
+
+
+def _change_coordinates(J, rng):
+    """J under a random invertible linear change of the variables."""
+    ring = J.ring
+    images = [sum((ring.gen(j).scale(c) for j, c in enumerate(row)), ring.zero)
+              for row in _random_invertible(ring.n, ring, rng)]
+
+    def image(f):
+        out = ring.zero
+        for m, c in f.terms.items():
+            term = ring.const(c)
+            for img, e in zip(images, m):
+                term = term * img ** e
+            out = out + term
+        return out
+
+    return Ideal(ring, [image(g) for g in J.gens])
+
+
+@pytest.mark.parametrize("p", [32003, 0])
+def test_leading_term_and_exponent_supports_agree(p):
+    rng = random.Random(41)
+    for n in range(1, 5):
+        for J in fixtures(CorpusSpec(n=n, max_gens=6, max_degree=3, count=12, seed=n, p=p)):
+            T = _change_coordinates(J, rng)
+            assert T.monomial_exponents() is None or n == 1
+            assert T.dim_quotient() == J.dim_quotient() == oracle_dim(J)
 
 
 @pytest.mark.parametrize("p", [0, 2])

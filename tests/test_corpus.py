@@ -1,6 +1,9 @@
 import hashlib
 import random
 
+import pytest
+
+from redsop import CyclicModule
 from redsop.corpus import greedy_monomial_sequence, module_stream
 
 # SHA-256 of every greedy sequence drawn below, one line per call
@@ -26,3 +29,9 @@ def test_greedy_sequences_are_pinned():
     assert any(line.endswith("| None") for line in lines)
     assert any(not line.endswith("| None") for line in lines)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GREEDY_DIGEST
+
+
+def test_greedy_sequences_need_a_monomial_module(R):
+    M = CyclicModule(R, R.ideal("X^2 + Y*Z"))
+    with pytest.raises(ValueError, match="monomial module"):
+        greedy_monomial_sequence(M, 1, random.Random(0))

@@ -24,11 +24,12 @@ exact combinatorial shortcuts; the verification suites pin them, and the
 saturation, against the generic and iterated-colon routes.
 
 Dimension is one search over supports held as bit masks
-(:func:`monomial_dim`): a monomial generator set passes its own
-exponents and needs no basis, any other ideal the leading monomials of
-its reduced grevlex basis.  A monomial generator set also answers
-``is_unit`` without a basis: it generates the unit ideal exactly when
-one generator is a nonzero constant.
+(:func:`monomial_dim`) of :meth:`Ideal.leading_exponents`: a monomial
+generator set gives its own exponents and needs no basis, any other
+ideal the leading monomials of its reduced grevlex basis.  The Hilbert
+test for non-zero-divisors reads the same accessor.  A monomial
+generator set also answers ``is_unit`` without a basis: it generates
+the unit ideal exactly when one generator is a nonzero constant.
 """
 
 from __future__ import annotations
@@ -306,6 +307,18 @@ class Ideal:
             self._mono = tuple(exps) if exps is not None else None
         return self._mono
 
+    def leading_exponents(self):
+        """Exponent tuples generating in(J) for grevlex.
+
+        J's own exponents when every generator is a term (no basis), else
+        the leading monomials of the reduced grevlex basis.  R/J and
+        R/in(J) share dimension and Hilbert series.
+        """
+        exps = self.monomial_exponents()
+        if exps is None:
+            exps = [g.leading_monomial() for g in self.groebner_basis()]
+        return exps
+
     # -- comparisons ------------------------------------------------------
 
     def __eq__(self, other):
@@ -431,16 +444,11 @@ class Ideal:
     def dim_quotient(self):
         """Krull dimension of R/J; -1 when J is the unit ideal.
 
-        R/J and R/in(J) have the same dimension, so this is
-        :func:`monomial_dim` of J's own exponents when every generator is
-        a term, and of the leading monomials of the reduced grevlex basis
-        otherwise; only the second needs a basis.  Raises ValueError when
-        the search passes DIM_SEARCH_BUDGET.
+        :func:`monomial_dim` of :meth:`leading_exponents`, so only a
+        generator set with a non-term needs a basis.  Raises ValueError
+        when the search passes DIM_SEARCH_BUDGET.
         """
-        exps = self.monomial_exponents()
-        if exps is None:
-            exps = [g.leading_monomial() for g in self.groebner_basis()]
-        return monomial_dim(self.ring.n, exps)
+        return monomial_dim(self.ring.n, self.leading_exponents())
 
     def __str__(self):
         return "(" + ", ".join(str(g) for g in self.gens) + ")"

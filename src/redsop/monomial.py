@@ -6,6 +6,10 @@ components, membership of arbitrary polynomials in monomial primes, and
 localization at a monomial prime by turning the outside variables into
 units.  The rest of the package cross-validates its general-purpose
 predicates against these answers.
+
+Hilbert numerators of monomial ideals (:func:`hilbert_numerator`) come
+from the same exponent tuples; the engine reads them off leading-term
+ideals to decide non-zero-divisors without a colon.
 """
 
 from __future__ import annotations
@@ -229,6 +233,63 @@ def monomial_intersection(A, B):
 def is_zero_divisor_oracle(f, J):
     """Zero-divisor test on R/J: membership in some associated prime."""
     return any(member_of_monomial_prime(f, P) for P in ass_monomial(J))
+
+
+def hilbert_numerator(n, exps):
+    """Numerator N of HS(k[x_0..x_{n-1}]/(x^e : e in exps)) = N(t) / (1 - t)^n.
+
+    Integer coefficients of t^0, t^1, ... with no trailing zeros; () for
+    the unit ideal.  Bigatti's pivot recursion (Bigatti 1997; Bruns &
+    Herzog, Cohen-Macaulay Rings, 4.1): pairwise coprime generators form
+    a complete intersection, N = prod (1 - t^deg g); otherwise take the
+    variable x_i in the most generators and p = x_i^a with a its least
+    exponent among them.  Then I + (p) is p beside the generators free of
+    x_i, and N(I) = (1 - t^a) N(those) + t^a N(I : p).  The generators
+    need not be minimal.
+    """
+    num = _numerator(list(exps))
+    while num and not num[-1]:
+        num.pop()
+    return tuple(num)
+
+
+def _numerator(gens):
+    """Hilbert numerator of monomial generators, as a coefficient list."""
+    seen = 0
+    coprime = True
+    for m in gens:
+        mask = sum(1 << i for i, e in enumerate(m) if e)
+        if not mask:  # a constant generates the unit ideal
+            return []
+        if seen & mask:
+            coprime = False
+        seen |= mask
+    if coprime:
+        num = [1]
+        for m in gens:
+            num = times_one_minus(num, sum(m))
+        return num
+    counts = [sum(1 for m in gens if m[i]) for i in range(len(gens[0]))]
+    i = counts.index(max(counts))
+    a = min(m[i] for m in gens if m[i])
+    num = times_one_minus(_numerator([m for m in gens if not m[i]]), a)
+    colon = _minimalize_monomials(
+        [m[:i] + (m[i] - a,) + m[i + 1:] if m[i] else m for m in gens])
+    for k, c in enumerate(_numerator(colon)):
+        if k + a >= len(num):
+            num.extend([0] * (k + a + 1 - len(num)))
+        num[k + a] += c
+    return num
+
+
+def times_one_minus(num, e):
+    """The coefficient list of num(t) * (1 - t^e), with no trailing zeros."""
+    out = list(num) + [0] * e
+    for k, c in enumerate(num):
+        out[k + e] -= c
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def monomial_primes(ring):

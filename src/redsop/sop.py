@@ -16,8 +16,21 @@ Hence
     max{dim R/P : P in Ass R/J, x in P} = dim R/W,
 
 with the convention -1 when x is a non-zero-divisor, i.e. when the
-saturation equals J and the torsion vanishes.  The verification suites
-pin this identity against the combinatorial oracle on monomial input.
+torsion vanishes.
+
+Whether x is a non-zero-divisor on R/J is decided without a colon, by
+Hilbert series: for homogeneous J and x of degree e the exact sequence
+
+    0 -> R/(J : x)(-e) -> R/J -> R/(J + x) -> 0
+
+gives HS(R/(J + x)) = HS(R/J) - t^e HS(R/(J : x)), and J : x contains J,
+so x is a non-zero-divisor exactly when the Hilbert numerators satisfy
+N(J + x) = (1 - t^e) N(J).  Both are read off grevlex leading-term
+ideals, and the basis of J + x is the one the next cut needs anyway.
+Depth cuts, regular sequences, the last step of the Cohen-Macaulay test
+and the torsion question all ask this first; only a zero-divisor goes
+on to the saturation and W.  The verification suites pin the identity
+above against the combinatorial oracle on monomial input.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ import random
 from dataclasses import dataclass, field
 
 from .groebner import Ideal
-from .monomial import ass_monomial, member_of_monomial_prime
+from .monomial import ass_monomial, hilbert_numerator, member_of_monomial_prime, times_one_minus
 from .poly import (
     HomogeneityError,
     Polynomial,
@@ -167,7 +180,11 @@ class ConstructionResult:
 
 @dataclass
 class CmCertificate:
-    """Data behind a Cohen-Macaulay verdict from the one-colon test."""
+    """Data behind a Cohen-Macaulay verdict from the reducing-sop test.
+
+    ``last_is_nzd`` says whether the last element of the reducing sop is
+    a non-zero-divisor modulo the others, decided by Hilbert series.
+    """
 
     d: int
     sop: ParamSequence | None
@@ -206,11 +223,23 @@ def max_assoc_dim_containing(x, N):
     return dim
 
 
+def _is_nzd(J, x, Jx):
+    """Whether homogeneous x is a non-zero-divisor on R/J, given Jx = J + (x).
+
+    Compares the Hilbert numerators of the leading-term ideals: x is one
+    exactly when N(Jx) = (1 - t^deg x) N(J) (see the module docstring).
+    """
+    if not x.is_homogeneous():
+        raise HomogeneityError(f"{x} is not homogeneous")
+    n = J.ring.n
+    return (hilbert_numerator(n, Jx.leading_exponents())
+            == tuple(times_one_minus(hilbert_numerator(n, J.leading_exponents()), x.degree())))
+
+
 def _assoc_dim_witness(x, J):
-    sat = J.saturation(x)
-    if sat == J:
+    if _is_nzd(J, x, J + (x,)):
         return -1, None
-    W = J.quotient_ideal(sat)
+    W = J.quotient_ideal(J.saturation(x))
     return W.dim_quotient(), W
 
 
@@ -278,9 +307,10 @@ def is_regular_sequence(xs, M):
     """Each element a non-zero-divisor modulo its predecessors."""
     J = M.ideal
     for x in xs:
-        if J.quotient(x) != J:
+        Jx = J + (x,)
+        if not _is_nzd(J, x, Jx):
             return False
-        J = J + (x,)
+        J = Jx
     return J.is_proper()
 
 
@@ -445,21 +475,24 @@ def random_sop(M, seed):
 def depth_with_certificate(M, seed=0):
     """Depth of M together with the verified regular sequence it used.
 
-    depth = 0 is certified by (J : m) != J, i.e. a nonzero socle; every
-    cut is a verified non-zero-divisor, so the count is exact.  The socle
-    test runs only once the first draw at a level is a zero-divisor: a
-    nonzero socle makes every draw one, so drawing first changes no answer.
+    Every cut is a non-zero-divisor verified by Hilbert series, so the
+    count is exact.  A level ends the search with depth 0 when R/J is
+    Artinian (dim 0, checked before any draw), or when its first draw is
+    a zero-divisor and the socle colon (J : m) != J finds a nonzero socle;
+    a nonzero socle makes every draw a zero-divisor, so drawing first
+    changes no answer.  Only non-Artinian depth-0 levels run a colon.
     """
     rng = random.Random(seed)
     ring = M.ring
     m_ideal = ring.irrelevant_ideal()
     J = M.ideal
     cuts = []
-    while True:
+    while J.dim_quotient() > 0:
         for attempt in range(RETRIES):
             x = random_linear_form(ring, rng)
-            if J.quotient(x) == J:
-                J = J + (x,)
+            Jx = J + (x,)
+            if _is_nzd(J, x, Jx):
+                J = Jx
                 cuts.append(x)
                 break
             if attempt == 0 and J.quotient_ideal(m_ideal) != J:
@@ -468,6 +501,7 @@ def depth_with_certificate(M, seed=0):
             raise RetryBudgetError(f"no non-zero-divisor found at depth {len(cuts)}")
         if len(cuts) > ring.n:
             raise RuntimeError("depth exceeded the number of variables")
+    return len(cuts), cuts
 
 
 def depth_oracle(M, seed=0):
@@ -476,12 +510,12 @@ def depth_oracle(M, seed=0):
 
 
 def is_cm_reducing(M, seed):
-    """Cohen-Macaulay test by one colon comparison on a reducing sop.
+    """Cohen-Macaulay test by one non-zero-divisor test on a reducing sop.
 
     Builds a verified random sop, rearranges it into a reducing one, and
     returns whether the last element is a non-zero-divisor modulo the
-    others; for a reducing system of parameters this single test decides
-    the Cohen-Macaulay property.
+    others, decided by Hilbert series; for a reducing system of
+    parameters this single test decides the Cohen-Macaulay property.
     """
     if M.d == 0:
         return True, CmCertificate(0, None, None)
@@ -494,7 +528,7 @@ def is_cm_reducing(M, seed):
         raise RetryBudgetError("failed to build a reducing system of parameters")
     ys = res.sequence
     J = M.ideal + ys.elems[:-1]
-    nzd = J.quotient(ys[-1]) == J
+    nzd = _is_nzd(J, ys[-1], J + (ys[-1],))
     return nzd, CmCertificate(M.d, ys, nzd)
 
 

@@ -242,10 +242,12 @@ def hilbert_numerator(n, exps):
     the unit ideal.  Bigatti's pivot recursion (Bigatti 1997; Bruns &
     Herzog, Cohen-Macaulay Rings, 4.1): pairwise coprime generators form
     a complete intersection, N = prod (1 - t^deg g); otherwise take the
-    variable x_i in the most generators and p = x_i^a with a its least
-    exponent among them.  Then I + (p) is p beside the generators free of
-    x_i, and N(I) = (1 - t^a) N(those) + t^a N(I : p).  The generators
-    need not be minimal.
+    variable x_i in the most generators and p = x_i^a with a the lower
+    median of its exponents there, and N(I) = N(I + (p)) + t^a N(I : p).
+    Both sides have smaller generator degree sums, so the recursion ends,
+    and the median keeps it shallow: a staircase of k generators needs
+    about log k levels, where the least exponent as pivot would peel one
+    generator per level.  The generators need not be minimal.
     """
     num = _numerator(list(exps))
     while num and not num[-1]:
@@ -269,12 +271,15 @@ def _numerator(gens):
         for m in gens:
             num = times_one_minus(num, sum(m))
         return num
-    counts = [sum(1 for m in gens if m[i]) for i in range(len(gens[0]))]
+    n = len(gens[0])
+    counts = [sum(1 for m in gens if m[i]) for i in range(n)]
     i = counts.index(max(counts))
-    a = min(m[i] for m in gens if m[i])
-    num = times_one_minus(_numerator([m for m in gens if not m[i]]), a)
+    powers = sorted(m[i] for m in gens if m[i])
+    a = powers[(len(powers) - 1) // 2]
+    pivot = tuple(a if j == i else 0 for j in range(n))
+    num = _numerator([m for m in gens if m[i] < a] + [pivot])
     colon = _minimalize_monomials(
-        [m[:i] + (m[i] - a,) + m[i + 1:] if m[i] else m for m in gens])
+        [m[:i] + (max(m[i] - a, 0),) + m[i + 1:] for m in gens])
     for k, c in enumerate(_numerator(colon)):
         if k + a >= len(num):
             num.extend([0] * (k + a + 1 - len(num)))

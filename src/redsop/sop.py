@@ -217,7 +217,8 @@ def max_assoc_dim_containing(x, N):
     """Largest dim R/P over associated primes P of N that contain x.
 
     Returns -1 when x is a non-zero-divisor on N.  See the module
-    docstring for why the torsion annihilator decides this.
+    docstring for why the torsion annihilator decides this.  x must be
+    homogeneous (HomogeneityError otherwise), as the Hilbert test needs.
     """
     dim, _ = _assoc_dim_witness(x, N.ideal)
     return dim

@@ -75,3 +75,11 @@ def test_unit_and_zero_ideals():
     assert hilbert_numerator(3, [(0, 0, 0), (1, 0, 0)]) == ()
     assert hilbert_numerator(2, [(1, 1)]) == (1, 0, -1)
     assert hilbert_numerator(2, [(2, 0), (1, 1), (0, 2)]) == (1, 0, -3, 2)
+
+
+def test_deep_staircase_stays_shallow():
+    # m^k in two variables: HS = sum_{d<k} (d+1) t^d, so N = 1 - (k+1) t^k + k t^(k+1);
+    # one generator peeled per level would pass the recursion limit
+    k = 1500
+    staircase = [(k - i, i) for i in range(k + 1)]
+    assert hilbert_numerator(2, staircase) == (1,) + (0,) * (k - 1) + (-(k + 1), k)

@@ -257,23 +257,17 @@ def hilbert_numerator(n, exps):
 
 def _numerator(gens):
     """Hilbert numerator of monomial generators, as a coefficient list."""
-    seen = 0
-    coprime = True
-    for m in gens:
-        mask = sum(1 << i for i, e in enumerate(m) if e)
-        if not mask:  # a constant generates the unit ideal
-            return []
-        if seen & mask:
-            coprime = False
-        seen |= mask
-    if coprime:
+    if not all(map(any, gens)):  # a constant generates the unit ideal
+        return []
+    counts = [len(col) - col.count(0) for col in zip(*gens)]  # generators per variable
+    most = max(counts, default=0)
+    if most <= 1:
         num = [1]
         for m in gens:
             num = times_one_minus(num, sum(m))
         return num
-    n = len(gens[0])
-    counts = [sum(1 for m in gens if m[i]) for i in range(n)]
-    i = counts.index(max(counts))
+    n = len(counts)
+    i = counts.index(most)
     powers = sorted(m[i] for m in gens if m[i])
     a = powers[(len(powers) - 1) // 2]
     pivot = tuple(a if j == i else 0 for j in range(n))

@@ -1,4 +1,4 @@
-"""Non-zero-divisors by Hilbert series, against the colon route they replace."""
+"""Non-zero-divisors by Hilbert series, checked against the colon route."""
 
 import random
 

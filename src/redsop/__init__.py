@@ -50,7 +50,6 @@ from .sop import (
     is_regular_sequence,
     make_reducing,
     max_assoc_dim_containing,
-    quotient_module,
     random_sop,
 )
 from .cmlocus import (

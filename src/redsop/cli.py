@@ -2,8 +2,10 @@
 
 Exit codes: 0 determinate verdict, 2 input error, 3 inconclusive
 (randomized construction or membership gave up), 4 internal invariant
-breach (always a bug).  The default seed comes from --seed, then the
-session, then the REDSOP_SEED environment variable, then 0.
+breach (always a bug).  A session's seed comes from its own ``seed``
+line, then --seed, then the REDSOP_SEED environment variable, then 0;
+``corpus`` and ``check`` take --seed, then REDSOP_SEED, then 0.  A
+session block with ``output human`` is rendered as with --human.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .session import (
     corpus_report,
     render_human,
     render_report,
-    run_block,
+    run_block_with_output,
 )
 
 SEED_ENV = "REDSOP_SEED"
@@ -53,8 +55,8 @@ def _cmd_run(args):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
     default_seed = args.seed if args.seed is not None else _env_seed()
-    report, code = run_block(text, default_seed, timings=args.timings)
-    _emit(report, args.human)
+    report, code, output = run_block_with_output(text, default_seed, timings=args.timings)
+    _emit(report, args.human or output == "human")
     return code
 
 

@@ -82,7 +82,7 @@ def cm_membership_monomial(P, M, seed=0):
         return CmLocusEntry(P, "non_member", dim_point,
                             reason="outside the support")
     Jp = localize_at_monomial_prime(M.ideal, P)
-    Mp = CyclicModule(Jp.ring, Jp)
+    Mp = CyclicModule(Jp)
     dim_local = Mp.d
     if dim_point + dim_local != d:
         return CmLocusEntry(P, "non_member", dim_point, r=dim_local,
@@ -166,11 +166,11 @@ def construct_reducing_part_in_prime(M, P, r, seed):
                 continue
             if threshold == 0:
                 # final element of a full sequence: only the dimension drop
-                if (J + (x,)).dim_quotient() == 0:
+                dim = (J + (x,)).dim_quotient()
+                if dim == 0:
                     chosen = x
                     break
-                last = ViolationWitness(kind="not_system_of_parameters",
-                                        dim=(J + (x,)).dim_quotient(),
+                last = ViolationWitness(kind="not_system_of_parameters", dim=dim,
                                         index=i, threshold=0)
             else:
                 found, W = _assoc_dim_witness(x, J)
@@ -236,6 +236,6 @@ def cm_membership_general(P, M, seed):
     Jx = M.ideal + xs.elems
     if not all(P.contains(x) for x in xs):
         raise RuntimeError("constructed element escaped P")
-    if Jx.dim_quotient() != d - r or dim_point != d - r:
+    if Jx.dim_quotient() != d - r:
         raise RuntimeError("dimension bookkeeping failed after construction")
     return CmLocusEntry(P, "member", dim_point, r=r, certificate=xs)

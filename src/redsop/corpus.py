@@ -107,7 +107,7 @@ def module_stream(seed, n_values=(2, 3, 4), max_gens=5, max_degree=4,
         J = random_monomial_ideal(ring, rng, max_gens, max_degree, squarefree)
         if not J.is_proper():
             continue
-        M = CyclicModule(ring, J)
+        M = CyclicModule(J)
         if M.d < min_dim:
             continue
         yield M, rng

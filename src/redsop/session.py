@@ -43,7 +43,7 @@ from .sop import (
     is_reducing_sop,
     make_reducing,
 )
-from .suites import REGISTRY, run_suites
+from .suites import SUITES, run_suites
 
 SCHEMA = "redsop.report/1"
 
@@ -280,7 +280,7 @@ def _module(session):
     if session.ring is None:
         raise ValueError("session declares no ring")
     ideal = session.ideal if session.ideal is not None else Ideal(session.ring, ())
-    return CyclicModule(session.ring, ideal)
+    return CyclicModule(ideal)
 
 
 def check_theorems(report, suites, options, seed):
@@ -314,7 +314,7 @@ def check_theorems(report, suites, options, seed):
         else:
             raise ValueError(f"unknown check-theorems option {key!r}")
     for name in names:
-        if name != "all" and name not in REGISTRY:
+        if name != "all" and name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
     results = run_suites(names, seed, count, **opts)
     report["suites"] = [r.to_dict() for r in results]
@@ -490,6 +490,11 @@ def _dispatch(session, seed, report):
 
 def run_block(text, default_seed=None, timings=False):
     """Parse and run a session block; input errors become reports too."""
+    return run_block_with_output(text, default_seed, timings)[:2]
+
+
+def run_block_with_output(text, default_seed=None, timings=False):
+    """:func:`run_block` plus the block's ``output`` mode (None if absent or unparsed)."""
     try:
         session = parse_session(text)
     except (SessionError, ParseError, ValueError) as exc:
@@ -502,8 +507,8 @@ def run_block(text, default_seed=None, timings=False):
             "timing_ms": None,
             "input": {"ring": None, "ideal": [], "arg": ""},
         }
-        return report, EXIT_INPUT_ERROR
-    return run_command(session, default_seed, timings)
+        return report, EXIT_INPUT_ERROR, None
+    return (*run_command(session, default_seed, timings), session.output)
 
 
 # ---------------------------------------------------------------------------

@@ -61,15 +61,17 @@ class RetryBudgetError(RuntimeError):
 
 @dataclass
 class CyclicModule:
-    """M = R/I for a proper homogeneous ideal I; caches d = dim M."""
+    """M = R/I for a proper homogeneous ideal I; caches d = dim M.
 
-    ring: object
+    The module is its ideal: ``CyclicModule(R.ideal("XY", "XZ"))`` is
+    R/(XY, XZ), its ring is the ideal's ring, and two modules are equal
+    exactly when their ideals are.
+    """
+
     ideal: Ideal
     d: int = field(init=False)
 
     def __post_init__(self):
-        if self.ideal.ring != self.ring:
-            raise ValueError("ring mismatch")
         for g in self.ideal.gens:
             if not g.is_homogeneous():
                 raise HomogeneityError(f"generator {g} is not homogeneous")
@@ -77,10 +79,9 @@ class CyclicModule:
             raise ValueError("defining ideal is the unit ideal: zero module")
         self.d = self.ideal.dim_quotient()
 
-    def __eq__(self, other):
-        if not isinstance(other, CyclicModule):
-            return NotImplemented
-        return self.ring == other.ring and self.ideal == other.ideal
+    @property
+    def ring(self):
+        return self.ideal.ring
 
     def __str__(self):
         return f"{self.ring}/{self.ideal}"
@@ -193,16 +194,6 @@ class CmCertificate:
 
 # ---------------------------------------------------------------------------
 # basic operations
-
-def quotient_module(M, xs):
-    """M/(x1..xr)M as a cyclic module; None when the quotient is zero."""
-    if xs.r == 0:
-        return M
-    J = M.ideal + xs.elems
-    if not J.is_proper():
-        return None
-    return CyclicModule(M.ring, J)
-
 
 def is_part_of_sop(xs, M):
     """Whether the sequence is (part of) a system of parameters of M."""
@@ -322,22 +313,6 @@ def _random_coeff(ring, rng):
     if ring.p:
         return rng.randrange(ring.p)
     return rng.randint(-99, 99)
-
-
-def random_linear_form(ring, rng):
-    """Random nonzero degree-one form."""
-    n = ring.n
-    while True:
-        coeffs = [_random_coeff(ring, rng) for _ in range(n)]
-        terms = {}
-        for i, c in enumerate(coeffs):
-            c = ring.coeff(c)
-            if c:
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = c
-        if terms:
-            return Polynomial(ring, terms, _raw=True)
 
 
 def random_homogeneous(ring, degree, rng, allow_zero=False):
@@ -462,7 +437,7 @@ def random_sop(M, seed):
     d = M.d
     for i in range(1, d + 1):
         for _ in range(RETRIES):
-            x = random_linear_form(M.ring, rng)
+            x = random_homogeneous(M.ring, 1, rng)
             K = J + (x,)
             if K.dim_quotient() == d - i:
                 elems.append(x)
@@ -490,7 +465,7 @@ def depth_with_certificate(M, seed=0):
     cuts = []
     while J.dim_quotient() > 0:
         for attempt in range(RETRIES):
-            x = random_linear_form(ring, rng)
+            x = random_homogeneous(ring, 1, rng)
             Jx = J + (x,)
             if _is_nzd(J, x, Jx):
                 J = Jx

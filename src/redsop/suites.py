@@ -54,7 +54,7 @@ from .sop import (
     is_regular_sequence,
     make_reducing,
     max_assoc_dim_containing,
-    random_linear_form,
+    random_homogeneous,
     random_sop,
 )
 
@@ -64,7 +64,7 @@ EXAMPLE_IDEAL_GENS = ("XY", "XZ")
 def example_module(p=32003):
     """The canonical 2-dimensional non-CM fixture k[X,Y,Z]/(XY, XZ)."""
     ring = default_ring(3, p)
-    return CyclicModule(ring, ring.ideal(*EXAMPLE_IDEAL_GENS))
+    return CyclicModule(ring.ideal(*EXAMPLE_IDEAL_GENS))
 
 
 @dataclass
@@ -120,7 +120,7 @@ def _random_homogeneous_ideal(ring, rng, max_gens=3):
     gens = []
     for _ in range(rng.randint(1, max_gens)):
         if rng.random() < 0.5:
-            gens.append(random_linear_form(ring, rng))
+            gens.append(random_homogeneous(ring, 1, rng))
         else:
             deg = rng.randint(1, 2)
             m1 = random_monomial(rng, ring.n, deg)
@@ -156,9 +156,7 @@ def _saturation_iterated(J, f):
         J = nxt
 
 
-def suite_kernel(count, seed, **opts):
-    res = SuiteResult("kernel")
-    master = random.Random(seed)
+def suite_kernel(res, master, count, **opts):
     stream = module_stream(_sub_seed(master), **opts)
     for _ in range(count):
         M, rng = next(stream)
@@ -230,15 +228,12 @@ def suite_kernel(count, seed, **opts):
         fresh = Ideal(ring, H.gens)
         res.record(all(fresh.reduce(b).is_zero() for b in basis),
                    lambda: _fixture_detail(M, law="cache coherence", gens=str(H)))
-    return res
 
 
 # ---------------------------------------------------------------------------
 # monomial-oracle internal laws
 
-def suite_oracle(count, seed, **opts):
-    res = SuiteResult("oracle")
-    master = random.Random(seed)
+def suite_oracle(res, master, count, **opts):
     stream = module_stream(_sub_seed(master), **opts)
     for idx in range(count):
         M, rng = next(stream)
@@ -284,15 +279,12 @@ def suite_oracle(count, seed, **opts):
                 attained = True
         res.record(law_ok and attained,
                    lambda: _fixture_detail(M, law="dimension law"))
-    return res
 
 
 # ---------------------------------------------------------------------------
 # the dimension filter against explicit associated primes
 
-def suite_dimension_filter(count, seed, **opts):
-    res = SuiteResult("dimension-filter")
-    master = random.Random(seed)
+def suite_dimension_filter(res, master, count, **opts):
     stream = module_stream(_sub_seed(master), **opts)
     while res.instances < count:
         M, rng = next(stream)
@@ -303,7 +295,6 @@ def suite_dimension_filter(count, seed, **opts):
         want = max(dims, default=-1)
         res.record(got == want,
                    lambda: _fixture_detail(M, x=x, got=got, want=want))
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +314,7 @@ def _literal_reducing(M, xs):
     return True
 
 
-def suite_reducing_literal(count, seed, **opts):
-    res = SuiteResult("reducing-literal")
-    master = random.Random(seed)
+def suite_reducing_literal(res, master, count, **opts):
     stream = module_stream(_sub_seed(master), min_dim=1, **opts)
     while res.instances < count:
         M, rng = next(stream)
@@ -345,15 +334,12 @@ def suite_reducing_literal(count, seed, **opts):
             want = _literal_reducing(M, xs)
             res.record(got == want,
                        lambda: _fixture_detail(M, seq=xs, got=got, want=want))
-    return res
 
 
 # ---------------------------------------------------------------------------
 # the two Cohen-Macaulay tests agree
 
-def suite_cm_equivalence(count, seed, **opts):
-    res = SuiteResult("cm-equivalence")
-    master = random.Random(seed)
+def suite_cm_equivalence(res, master, count, **opts):
     stream = module_stream(_sub_seed(master), **opts)
     for _ in range(count):
         M, rng = next(stream)
@@ -363,15 +349,12 @@ def suite_cm_equivalence(count, seed, **opts):
         res.record(via_reducing == via_depth,
                    lambda: _fixture_detail(M, reducing=via_reducing, depth=via_depth,
                                            sop=cert.sop))
-    return res
 
 
 # ---------------------------------------------------------------------------
 # regular sequences vs sops vs reducing parts
 
-def suite_cm_regular(count, seed, **opts):
-    res = SuiteResult("cm-regular")
-    master = random.Random(seed)
+def suite_cm_regular(res, master, count, **opts):
     stream = module_stream(_sub_seed(master), min_dim=1, **opts)
     for _ in range(count):
         M, rng = next(stream)
@@ -393,7 +376,7 @@ def suite_cm_regular(count, seed, **opts):
                            lambda: _fixture_detail(M, seq=part, law="CM equivalences",
                                                    regular=reg, reducing=red, part=sp))
             # arbitrary short sequences: the three predicates coincide
-            elems = [random_linear_form(M.ring, rng) for _ in range(rng.randint(1, M.d - 1))]
+            elems = [random_homogeneous(M.ring, 1, rng) for _ in range(rng.randint(1, M.d - 1))]
             xs = ParamSequence(M.ring, elems)
             reg = is_regular_sequence(xs, M)
             red = is_reducing_sop(xs, M).ok
@@ -401,7 +384,6 @@ def suite_cm_regular(count, seed, **opts):
             res.record(reg == red == sp,
                        lambda: _fixture_detail(M, seq=xs, law="CM equivalences",
                                                regular=reg, reducing=red, part=sp))
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +408,7 @@ def _sampled_reducing_parts(M, rng, tries=3):
     return out
 
 
-def suite_permutation(count, seed, **opts):
-    res = SuiteResult("permutation")
+def suite_permutation(res, master, count, **opts):
     # pinned order-dependence of the canonical fixture at r = d
     M16 = example_module(opts.get("p", 32003))
     fwd = is_reducing_sop(ParamSequence.parse(M16.ring, "Y; X+Y+Z"), M16)
@@ -436,7 +417,6 @@ def suite_permutation(count, seed, **opts):
     res.record(not fwd.ok and rev.ok,
                lambda: _fixture_detail(M16, law="full-length order dependence"))
 
-    master = random.Random(seed)
     stream = module_stream(_sub_seed(master), min_dim=2, **opts)
     while res.instances < count + 1:
         M, rng = next(stream)
@@ -450,15 +430,12 @@ def suite_permutation(count, seed, **opts):
                     ok = False
                     break
             res.record(ok, lambda: _fixture_detail(M, seq=xs, perm=list(perm)))
-    return res
 
 
 # ---------------------------------------------------------------------------
 # reducing parts vs localized Cohen-Macaulay points (r < d)
 
-def suite_local_cm(count, seed, **opts):
-    res = SuiteResult("local-cm")
-    master = random.Random(seed)
+def suite_local_cm(res, master, count, **opts):
     stream = module_stream(_sub_seed(master), min_dim=2, **opts)
     while res.instances < count:
         M, rng = next(stream)
@@ -488,15 +465,12 @@ def suite_local_cm(count, seed, **opts):
             built = make_reducing(xs, M, _sub_seed(rng))
             res.record(built.ok,
                        lambda: _fixture_detail(M, seq=xs, law="positive instance rebuilds"))
-    return res
 
 
 # ---------------------------------------------------------------------------
 # localization stability of (reducing) parts at good monomial primes
 
-def suite_localization(count, seed, **opts):
-    res = SuiteResult("localization")
-    master = random.Random(seed)
+def suite_localization(res, master, count, **opts):
     stream = module_stream(_sub_seed(master), min_dim=1, **opts)
     while res.instances < count:
         M, rng = next(stream)
@@ -519,7 +493,7 @@ def suite_localization(count, seed, **opts):
             if not all(member_of_monomial_prime(x, P) for x in xs):
                 continue
             loc = localize_at_monomial_prime(M.ideal, P)
-            Mp = CyclicModule(loc.ring, loc)
+            Mp = CyclicModule(loc)
             if P.dim + Mp.d != d:
                 continue
             res.instances += 1
@@ -536,15 +510,12 @@ def suite_localization(count, seed, **opts):
                                                    law="localized reducing part"))
             if res.instances >= count:
                 break
-    return res
 
 
 # ---------------------------------------------------------------------------
 # minimal associated primes containing a zero-divisor survive the cut
 
-def suite_zero_divisor(count, seed, **opts):
-    res = SuiteResult("zero-divisor")
-    master = random.Random(seed)
+def suite_zero_divisor(res, master, count, **opts):
     stream = module_stream(_sub_seed(master), **opts)
     while res.instances < count:
         M, rng = next(stream)
@@ -559,21 +530,18 @@ def suite_zero_divisor(count, seed, **opts):
             res.record(P in after,
                        lambda: _fixture_detail(M, x=x, prime=P,
                                                after=[str(q) for q in sorted(after, key=lambda z: z.sorted_vars())]))
-    return res
 
 
 # ---------------------------------------------------------------------------
 # support containment transfers part-of-sop downwards
 
-def suite_support_containment(count, seed, **opts):
-    res = SuiteResult("support-containment")
-    master = random.Random(seed)
+def suite_support_containment(res, master, count, **opts):
     stream = module_stream(_sub_seed(master), min_dim=1, **opts)
     while res.instances < count:
         M, rng = next(stream)
         ring = M.ring
         r = rng.randint(1, M.d)
-        xs_elems = [random_linear_form(ring, rng) if rng.random() < 0.5
+        xs_elems = [random_homogeneous(ring, 1, rng) if rng.random() < 0.5
                     else Polynomial(ring, {random_monomial(rng, ring.n, 2): 1})
                     for _ in range(r)]
         xs = ParamSequence(ring, xs_elems)
@@ -604,15 +572,12 @@ def suite_support_containment(count, seed, **opts):
             res.record(is_part_of_sop(xs, M),
                        lambda: _fixture_detail(M, xs=xs, ys=ys,
                                                law="part-of-sop transfers down"))
-    return res
 
 
 # ---------------------------------------------------------------------------
 # locus identities
 
-def suite_locus_identities(count, seed, **opts):
-    res = SuiteResult("locus-identities")
-    master = random.Random(seed)
+def suite_locus_identities(res, master, count, **opts):
     stream = module_stream(_sub_seed(master), **opts)
     for _ in range(count):
         M, rng = next(stream)
@@ -633,7 +598,6 @@ def suite_locus_identities(count, seed, **opts):
         entry = cm_membership_monomial(full, M, _sub_seed(rng))
         res.record(entry.member == is_cm_depth(M, _sub_seed(rng)),
                    lambda: _fixture_detail(M, law="irrelevant ideal membership iff CM"))
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -670,23 +634,18 @@ def _locus_roundtrip_one(res, M, rng):
                        lambda: _fixture_detail(M, prime=P, law="members never inconclusive"))
 
 
-def suite_locus_roundtrip(count, seed, **opts):
-    res = SuiteResult("locus-roundtrip")
-    master = random.Random(seed)
+def suite_locus_roundtrip(res, master, count, **opts):
     _locus_roundtrip_one(res, example_module(opts.get("p", 32003)), master)
     stream = module_stream(_sub_seed(master), **opts)
     while res.instances < count + 1:
         M, rng = next(stream)
         _locus_roundtrip_one(res, M, rng)
-    return res
 
 
 # ---------------------------------------------------------------------------
 # constructor postconditions and determinism
 
-def suite_construction(count, seed, **opts):
-    res = SuiteResult("construction")
-    master = random.Random(seed)
+def suite_construction(res, master, count, **opts):
     stream = module_stream(_sub_seed(master), min_dim=1, **opts)
     for _ in range(count):
         M, rng = next(stream)
@@ -707,54 +666,42 @@ def suite_construction(count, seed, **opts):
             again = make_reducing(xs, M, red_seed)
             res.record(again.ok and again.sequence == ys,
                        lambda: _fixture_detail(M, seq=ys, law="make_reducing determinism"))
-    return res
 
 
-REGISTRY = {
-    "kernel": suite_kernel,
-    "oracle": suite_oracle,
-    "dimension-filter": suite_dimension_filter,
-    "reducing-literal": suite_reducing_literal,
-    "cm-equivalence": suite_cm_equivalence,
-    "cm-regular": suite_cm_regular,
-    "permutation": suite_permutation,
-    "local-cm": suite_local_cm,
-    "localization": suite_localization,
-    "zero-divisor": suite_zero_divisor,
-    "support-containment": suite_support_containment,
-    "locus-identities": suite_locus_identities,
-    "locus-roundtrip": suite_locus_roundtrip,
-    "construction": suite_construction,
-}
-
-DEFAULT_COUNTS = {
-    "kernel": 200,
-    "oracle": 200,
-    "dimension-filter": 200,
-    "reducing-literal": 100,
-    "cm-equivalence": 200,
-    "cm-regular": 60,
-    "permutation": 100,
-    "local-cm": 100,
-    "localization": 100,
-    "zero-divisor": 100,
-    "support-containment": 100,
-    "locus-identities": 100,
-    "locus-roundtrip": 50,
-    "construction": 60,
+# name -> (suite function, default instance count)
+SUITES = {
+    "kernel": (suite_kernel, 200),
+    "oracle": (suite_oracle, 200),
+    "dimension-filter": (suite_dimension_filter, 200),
+    "reducing-literal": (suite_reducing_literal, 100),
+    "cm-equivalence": (suite_cm_equivalence, 200),
+    "cm-regular": (suite_cm_regular, 60),
+    "permutation": (suite_permutation, 100),
+    "local-cm": (suite_local_cm, 100),
+    "localization": (suite_localization, 100),
+    "zero-divisor": (suite_zero_divisor, 100),
+    "support-containment": (suite_support_containment, 100),
+    "locus-identities": (suite_locus_identities, 100),
+    "locus-roundtrip": (suite_locus_roundtrip, 50),
+    "construction": (suite_construction, 60),
 }
 
 
 def run_suites(names, seed, count=None, **opts):
-    """Run the named suites (or all) with per-suite derived seeds."""
+    """Run the named suites (or all) with per-suite derived seeds.
+
+    Each suite function fills in the SuiteResult it is given, drawing
+    from a master generator seeded per suite name.
+    """
     if not names or names == ["all"]:
-        names = list(REGISTRY)
+        names = list(SUITES)
     results = []
     for name in names:
-        fn = REGISTRY.get(name)
-        if fn is None:
+        if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
-        suite_seed = random.Random(f"{seed}:{name}").getrandbits(64)
-        n = count if count is not None else DEFAULT_COUNTS[name]
-        results.append(fn(n, suite_seed, **opts))
+        fn, default_count = SUITES[name]
+        res = SuiteResult(name)
+        master = random.Random(random.Random(f"{seed}:{name}").getrandbits(64))
+        fn(res, master, default_count if count is None else count, **opts)
+        results.append(res)
     return results

@@ -11,4 +11,4 @@ def R():
 @pytest.fixture
 def M(R):
     """k[X,Y,Z]/(XY, XZ): dimension 2, depth 1, not Cohen-Macaulay."""
-    return CyclicModule(R, R.ideal("XY", "XZ"))
+    return CyclicModule(R.ideal("XY", "XZ"))

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -18,6 +20,7 @@ from redsop.session import (
     render_report,
     run_block,
 )
+from redsop.suites import SUITES
 
 FIXTURE = "ring [X,Y,Z] p=32003\nideal XY, XZ\n"
 
@@ -207,6 +210,13 @@ def test_check_theorems_unknown_suite():
     assert code == EXIT_INPUT_ERROR
 
 
+def test_readme_suite_table_lists_every_suite():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### `redsop check`", 1)[1].split("\n### ", 1)[0]
+    rows = re.findall(r"^\| `([\w-]+)` \|", section, re.MULTILINE)
+    assert rows == list(SUITES)
+
+
 def test_report_reproducibility():
     text = FIXTURE + "is-cm both\n"
     a, _ = run(text, seed=11)
@@ -279,11 +289,36 @@ def test_cli_env_seed(tmp_path, monkeypatch):
     assert json.loads(proc.stdout)["seed"] == 99
 
 
-def test_cli_human_mode():
+def test_cli_human_mode(capsys):
     from redsop.cli import main
 
     code = main(["run", "-e", FIXTURE + "dim\n", "--human"])
     assert code == 0
+    assert capsys.readouterr().out.startswith("command: dim  status: ok\n")
+    # the block's output line picks the rendering as --human does
+    assert main(["run", "-e", FIXTURE + "output human\ndim\n"]) == 0
+    assert capsys.readouterr().out.startswith("command: dim  status: ok\n")
+    assert main(["run", "-e", FIXTURE + "output structured\ndim\n"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 2
+    # the report itself does not depend on the output line
+    assert run(FIXTURE + "output human\ndim\n") == run(FIXTURE + "dim\n")
+
+
+@pytest.mark.parametrize("seed_line, argv, env, want", [
+    ("seed 42\n", ["--seed", "5"], "7", 42),
+    ("", ["--seed", "5"], "7", 5),
+    ("", [], "7", 7),
+    ("", [], None, 0),
+])
+def test_cli_seed_precedence(seed_line, argv, env, want, capsys, monkeypatch):
+    from redsop.cli import main
+
+    if env is None:
+        monkeypatch.delenv("REDSOP_SEED", raising=False)
+    else:
+        monkeypatch.setenv("REDSOP_SEED", env)
+    assert main(["run", "-e", FIXTURE + seed_line + "dim\n", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == want
 
 
 # Stdout SHA-256 of `redsop check` recorded before the check-theorems

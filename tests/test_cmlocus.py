@@ -50,13 +50,13 @@ def test_locus_strata_of_fixture(R, M):
 
 
 def test_zero_prime_on_free_module(R):
-    free = CyclicModule(R, Ideal(R, ()))
+    free = CyclicModule(Ideal(R, ()))
     entry = cm_membership_monomial(prime(R), free)
     assert entry.member and entry.r == 0
 
 
 def test_locus_requires_monomial_ideal(R):
-    N = CyclicModule(R, R.ideal("X^2 + YZ"))
+    N = CyclicModule(R.ideal("X^2 + YZ"))
     with pytest.raises(ValueError):
         cm_locus_monomial_r(N, 0)
 
@@ -76,7 +76,7 @@ def test_construct_fails_inside_bad_prime(R, M):
 
 def test_construct_full_sop_in_irrelevant_ideal_of_cm_ring():
     ring = PolyRing(("X", "Y"))
-    free = CyclicModule(ring, Ideal(ring, ()))
+    free = CyclicModule(Ideal(ring, ()))
     res = construct_reducing_part_in_prime(free, ring.irrelevant_ideal(), 2, seed=6)
     assert res.ok
 
@@ -96,7 +96,7 @@ def test_general_membership_with_certificate(R, M):
 
 def test_general_membership_non_monomial_prime_on_free_module():
     ring = PolyRing(("X", "Y", "Z"))
-    free = CyclicModule(ring, Ideal(ring, ()))
+    free = CyclicModule(Ideal(ring, ()))
     entry = cm_membership_general(ring.ideal("X+Y", "Z"), free, seed=5)
     assert entry.member and entry.r == 2
 
@@ -116,7 +116,7 @@ def test_general_membership_inconclusive_never_non_member(R, M):
 def test_general_membership_at_irrelevant_ideal(R, M):
     entry = cm_membership_general(R.irrelevant_ideal(), M, seed=5)
     assert entry.status == "non_member" and entry.depth_local == 1
-    free = CyclicModule(R, Ideal(R, ()))
+    free = CyclicModule(Ideal(R, ()))
     entry = cm_membership_general(R.irrelevant_ideal(), free, seed=5)
     assert entry.member and entry.r == 3
 

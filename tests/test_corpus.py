@@ -32,6 +32,6 @@ def test_greedy_sequences_are_pinned():
 
 
 def test_greedy_sequences_need_a_monomial_module(R):
-    M = CyclicModule(R, R.ideal("X^2 + Y*Z"))
+    M = CyclicModule(R.ideal("X^2 + Y*Z"))
     with pytest.raises(ValueError, match="monomial module"):
         greedy_monomial_sequence(M, 1, random.Random(0))

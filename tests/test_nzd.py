@@ -14,7 +14,6 @@ from redsop.sop import (
     depth_with_certificate,
     is_regular_sequence,
     random_homogeneous,
-    random_linear_form,
 )
 
 
@@ -50,7 +49,7 @@ def _fixtures():
                 J = Ideal(ring, [_substitute(g, images) for g in _monomial_ideal(ring, exps).gens])
                 v = rng.randrange(n)
                 w = rng.randrange(n)
-                for x in (random_linear_form(ring, rng), random_homogeneous(ring, 2, rng),
+                for x in (random_homogeneous(ring, 1, rng), random_homogeneous(ring, 2, rng),
                           images[v], images[v] * images[w]):
                     yield J, x
 
@@ -109,7 +108,7 @@ def test_cm_answers_need_no_colon(no_colon, ideal):
 
 def test_regular_sequence_needs_no_colon(no_colon):
     R = PolyRing(("X", "Y", "Z"))
-    M = CyclicModule(R, R.ideal("XY"))
+    M = CyclicModule(R.ideal("XY"))
     assert is_regular_sequence(ParamSequence.parse(R, "X+Y; Z"), M)
     assert not is_regular_sequence(ParamSequence.parse(R, "X; Z"), M)
 

@@ -14,7 +14,6 @@ from redsop import (
     is_regular_sequence,
     make_reducing,
     max_assoc_dim_containing,
-    quotient_module,
     random_sop,
 )
 from redsop.sop import depth_with_certificate
@@ -28,12 +27,12 @@ def seq(ring, text):
 
 def test_module_requires_proper_ideal(R):
     with pytest.raises(ValueError):
-        CyclicModule(R, R.ideal("1"))
+        CyclicModule(R.ideal("1"))
 
 
 def test_module_requires_homogeneous_ideal(R):
     with pytest.raises(HomogeneityError):
-        CyclicModule(R, R.ideal("X^2 + Y"))
+        CyclicModule(R.ideal("X^2 + Y"))
 
 
 def test_sequence_requires_positive_degree(R):
@@ -47,22 +46,13 @@ def test_dimension_of_fixture(M):
     assert M.d == 2
 
 
-# --- quotient_module ---------------------------------------------------------
-
-def test_quotient_module_drops_to_zero_dim(R, M):
-    N = quotient_module(M, seq(R, "Y; X+Y+Z"))
-    assert N is not None and N.d == 0
-
-
-def test_quotient_module_empty_sequence(R, M):
-    assert quotient_module(M, seq(R, "")) is M
-
-
-def test_quotient_module_redundant_element():
-    ring = PolyRing(("X", "Y"))
-    N = CyclicModule(ring, ring.ideal("X"))
-    out = quotient_module(N, ParamSequence(ring, (ring.poly("X"),)))
-    assert out.d == 1 and out.ideal == ring.ideal("X")
+def test_module_is_its_ideal(R, M):
+    J = R.ideal("XY", "XZ")
+    assert CyclicModule(J).ring is J.ring
+    assert CyclicModule(R.ideal("XZ", "XY", "XY + XZ")) == M
+    assert CyclicModule(R.ideal("XY")) != M
+    other = PolyRing(("X", "Y", "Z"), 2)
+    assert CyclicModule(other.ideal("XY", "XZ")) != M
 
 
 # --- is_part_of_sop ----------------------------------------------------------
@@ -120,7 +110,7 @@ def test_reducing_non_sop_witness(R, M):
 
 def test_reducing_vacuous_in_dimension_one():
     ring = PolyRing(("X", "Y"))
-    M1 = CyclicModule(ring, ring.ideal("XY"))
+    M1 = CyclicModule(ring.ideal("XY"))
     assert M1.d == 1
     assert is_reducing_sop(ParamSequence.parse(ring, "X+Y"), M1).ok
 
@@ -168,7 +158,7 @@ def test_make_reducing_returns_already_reducing_input(R, M):
 
 def test_make_reducing_on_regular_ring():
     ring = PolyRing(("X", "Y"))
-    free = CyclicModule(ring, Ideal(ring, ()))
+    free = CyclicModule(Ideal(ring, ()))
     res = make_reducing(ParamSequence.parse(ring, "X+Y; Y"), free, seed=1)
     assert res.ok and is_reducing_sop(res.sequence, free).ok
 
@@ -193,7 +183,7 @@ def test_make_reducing_part_fails_on_obstructed_element(R, M):
 
 def test_make_reducing_part_on_free_module():
     ring = PolyRing(("X", "Y", "Z"))
-    free = CyclicModule(ring, Ideal(ring, ()))
+    free = CyclicModule(Ideal(ring, ()))
     res = make_reducing(ParamSequence.parse(ring, "Y; X+Y+Z"), free, seed=2)
     assert res.ok and is_reducing_sop(res.sequence, free).ok
 
@@ -206,13 +196,13 @@ def test_random_sop_contract(R, M):
 
 def test_random_sop_avoids_components():
     ring = PolyRing(("X", "Y"))
-    M1 = CyclicModule(ring, ring.ideal("XY"))
+    M1 = CyclicModule(ring.ideal("XY"))
     xs = random_sop(M1, seed=77)
     assert xs.r == 1 and is_part_of_sop(xs, M1)
 
 
 def test_random_sop_zero_dimensional(R):
-    M0 = CyclicModule(R, R.irrelevant_ideal())
+    M0 = CyclicModule(R.irrelevant_ideal())
     assert random_sop(M0, seed=1).r == 0
 
 
@@ -228,7 +218,7 @@ def test_single_nzd_is_regular(R, M):
 
 def test_variables_regular_on_free_module():
     ring = PolyRing(("X", "Y"))
-    free = CyclicModule(ring, Ideal(ring, ()))
+    free = CyclicModule(Ideal(ring, ()))
     assert is_regular_sequence(ParamSequence.parse(ring, "X; Y"), free)
 
 
@@ -239,13 +229,13 @@ def test_depth_of_fixture(M):
 
 
 def test_depth_of_free_module(R):
-    free = CyclicModule(R, Ideal(R, ()))
+    free = CyclicModule(Ideal(R, ()))
     assert depth_oracle(free, seed=4) == 3
 
 
 def test_depth_zero():
     ring = PolyRing(("X", "Y"))
-    N = CyclicModule(ring, ring.ideal("X^2", "XY"))
+    N = CyclicModule(ring.ideal("X^2", "XY"))
     assert depth_oracle(N, seed=4) == 0
 
 
@@ -264,19 +254,19 @@ def test_cm_tests_on_fixture(M):
 
 def test_cm_tests_on_hypersurface():
     ring = PolyRing(("X", "Y"))
-    M1 = CyclicModule(ring, ring.ideal("XY"))
+    M1 = CyclicModule(ring.ideal("XY"))
     assert is_cm_reducing(M1, seed=31)[0]
     assert is_cm_depth(M1, seed=32)
 
 
 def test_cm_tests_on_free_module(R):
-    free = CyclicModule(R, Ideal(R, ()))
+    free = CyclicModule(Ideal(R, ()))
     assert is_cm_reducing(free, seed=41)[0]
     assert is_cm_depth(free, seed=42)
 
 
 def test_cm_tests_zero_dimensional(R):
-    M0 = CyclicModule(R, R.irrelevant_ideal())
+    M0 = CyclicModule(R.irrelevant_ideal())
     ok, cert = is_cm_reducing(M0, seed=5)
     assert ok and cert.sop is None
     assert is_cm_depth(M0, seed=5)

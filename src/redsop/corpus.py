@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .groebner import _monomial_ideal, monomial_dim
+from .groebner import _monomial_ideal, monomial_dim_core
 from .poly import Polynomial, PolyRing, monomials_of_degree
 from .sop import CyclicModule
 
@@ -135,17 +135,18 @@ def greedy_monomial_sequence(M, length, rng, step_tries=24):
     Builds part of a system of parameters out of monomials when the
     candidate pool allows it; returns None when some step gets stuck
     (many modules admit no monomial parameters at all).  M must be a
-    monomial module: each candidate is judged by :func:`monomial_dim` on
-    the exponents of its ideal plus the steps so far.
+    monomial module.  Each step runs :func:`monomial_dim_core` once on
+    the exponents of its ideal plus the steps so far and takes the first
+    shuffled candidate whose support lies inside the core, which is
+    exactly a candidate lowering the dimension by one.
     """
     ring = M.ring
     exps = M.ideal.monomial_exponents()
     if exps is None:
         raise ValueError("greedy monomial sequences need a monomial module")
     exps = list(exps)
-    d = M.d
     elems = []
-    for i in range(1, length + 1):
+    for _ in range(length):
         candidates = []
         for v in range(ring.n):
             for e in (1, 2):
@@ -155,7 +156,9 @@ def greedy_monomial_sequence(M, length, rng, step_tries=24):
         for _ in range(step_tries):
             candidates.append(random_monomial(rng, ring.n, 3))
         rng.shuffle(candidates)
-        step = next((m for m in candidates if monomial_dim(ring.n, exps + [m]) == d - i), None)
+        core = monomial_dim_core(ring.n, exps)[1]
+        step = next((m for m in candidates
+                     if all(core >> v & 1 for v, e in enumerate(m) if e)), None)
         if step is None:
             return None
         elems.append(Polynomial(ring, {step: 1}))

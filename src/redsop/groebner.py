@@ -26,10 +26,13 @@ saturation, against the generic and iterated-colon routes.
 Dimension is one search over supports held as bit masks
 (:func:`monomial_dim`) of :meth:`Ideal.leading_exponents`: a monomial
 generator set gives its own exponents and needs no basis, any other
-ideal the leading monomials of its reduced grevlex basis.  The Hilbert
-test for non-zero-divisors reads the same accessor.  A monomial
-generator set also answers ``is_unit`` without a basis: it generates
-the unit ideal exactly when one generator is a nonzero constant.
+ideal the leading monomials of its reduced grevlex basis.  The same
+search returns the variables lying in every largest free set
+(:func:`monomial_dim_core`), which tells which monomials lower the
+dimension by one.  The Hilbert test for non-zero-divisors reads the
+same accessor.  A monomial generator set also answers ``is_unit``
+without a basis: it generates the unit ideal exactly when one generator
+is a nonzero constant.
 """
 
 from __future__ import annotations
@@ -181,21 +184,26 @@ def _minimalize_monomials(exps):
     return kept
 
 
-def monomial_dim(n, exps):
-    """Krull dimension of k[x_0..x_{n-1}]/(x^e : e in exps); -1 for the unit ideal.
+def monomial_dim_core(n, exps):
+    """(dimension, core) of k[x_0..x_{n-1}]/(x^e : e in exps); (-1, 0) for the unit ideal.
 
-    The largest set of variables containing no generator's support, that
-    is n minus the fewest variables meeting every support (Stanley-Reisner;
-    Bruns & Herzog, Cohen-Macaulay Rings, 5.1).  Supports are bit masks;
-    while the free set contains a support, some variable of that support
-    must leave it, and the search branches on each.  Raises ValueError
-    once it visits more than DIM_SEARCH_BUDGET free sets.
+    A free set is a set of variables containing no generator's support.
+    The dimension is the size of the largest free sets, that is n minus
+    the fewest variables meeting every support (Stanley-Reisner; Bruns &
+    Herzog, Cohen-Macaulay Rings, 5.1).  The core is the bit mask of the
+    variables lying in every largest free set: adding a nonconstant
+    monomial lowers the dimension, by exactly one, when its support lies
+    inside the core.  Supports are bit masks; while the free set contains
+    a support, some variable of that support must leave it, and the
+    search branches on each, keeping the largest size and the AND of the
+    cores of the branches reaching it.  Raises ValueError once it visits
+    more than DIM_SEARCH_BUDGET free sets.
     """
     supports = []  # (mask, its one-variable masks)
     for m in exps:
         bits = tuple(1 << i for i, e in enumerate(m) if e)
         if not bits:  # a nonzero constant generator
-            return -1
+            return -1, 0
         supports.append((sum(bits), bits))
     memo = {}
 
@@ -204,11 +212,28 @@ def monomial_dim(n, exps):
             if len(memo) >= DIM_SEARCH_BUDGET:
                 raise ValueError(f"dimension search too large: over {DIM_SEARCH_BUDGET} sets")
             bits = next((bits for s, bits in supports if s & free == s), None)
-            memo[free] = (free.bit_count() if bits is None
-                          else max(largest(free ^ b) for b in bits))
+            if bits is None:
+                memo[free] = free.bit_count(), free
+            else:
+                best, core = -1, 0
+                for b in bits:
+                    size, mask = largest(free ^ b)
+                    if size > best:
+                        best, core = size, mask
+                    elif size == best:
+                        core &= mask
+                memo[free] = best, core
         return memo[free]
 
     return largest((1 << n) - 1)
+
+
+def monomial_dim(n, exps):
+    """Krull dimension of k[x_0..x_{n-1}]/(x^e : e in exps); -1 for the unit ideal.
+
+    The first component of :func:`monomial_dim_core`.
+    """
+    return monomial_dim_core(n, exps)[0]
 
 
 def _fresh_name(base, taken):

@@ -72,14 +72,17 @@ def mono_divides(a, b):
     return all(map(le, a, b))
 
 
+@functools.lru_cache(maxsize=256)
 def monomials_of_degree(n, d):
-    """Yield every exponent tuple of total degree d in n variables."""
+    """Every exponent tuple of total degree d in n variables, as a tuple.
+
+    Ordered by the first exponent descending, then recursively by the
+    rest; memoized per (n, d), so random forms draw from a stored tuple.
+    """
     if n == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in monomials_of_degree(n - 1, d - first):
-            yield (first,) + rest
+        return ((d,),)
+    return tuple((first,) + rest for first in range(d, -1, -1)
+                 for rest in monomials_of_degree(n - 1, d - first))
 
 
 # ---------------------------------------------------------------------------

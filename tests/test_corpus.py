@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from redsop import CyclicModule
+from redsop import CyclicModule, corpus
 from redsop.corpus import greedy_monomial_sequence, module_stream
 
 # SHA-256 of every greedy sequence drawn below, one line per call
@@ -35,3 +35,22 @@ def test_greedy_sequences_need_a_monomial_module(R):
     M = CyclicModule(R.ideal("X^2 + Y*Z"))
     with pytest.raises(ValueError, match="monomial module"):
         greedy_monomial_sequence(M, 1, random.Random(0))
+
+
+def test_greedy_sequences_search_once_per_step(monkeypatch):
+    calls = []
+    search = corpus.monomial_dim_core
+
+    def counted(n, exps):
+        calls.append(n)
+        return search(n, exps)
+
+    monkeypatch.setattr(corpus, "monomial_dim_core", counted)
+    stream = module_stream(11, n_values=(4,), min_dim=2)
+    for _ in range(10):
+        M, rng = next(stream)
+        for length in range(1, M.d + 2):
+            calls.clear()
+            seq = greedy_monomial_sequence(M, length, rng)
+            assert len(calls) <= length
+            assert seq is None or len(calls) == length

@@ -1,7 +1,7 @@
 import pytest
 
 from redsop import Ideal, Polynomial, PolyRing, oracle_dim
-from redsop.groebner import monomial_dim
+from redsop.groebner import monomial_dim, monomial_dim_core
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -37,3 +37,34 @@ def test_monomial_dim_invariances(case, data):
         extra = data.draw(st.tuples(*[st.integers(0, 2)] * n))
         multiple = tuple(a + b for a, b in zip(m, extra))
         assert monomial_dim(n, exps + [multiple]) == d
+
+
+def _support(m):
+    return sum(1 << i for i, e in enumerate(m) if e)
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+@hypothesis.given(exponent_sets(), st.data())
+def test_core_is_the_meet_of_the_largest_free_sets(case, data):
+    n, exps = case
+    supports = [_support(m) for m in exps]
+    free = [f for f in range(1 << n) if not any(s & f == s for s in supports)]
+    dim = max(f.bit_count() for f in free)
+    core = (1 << n) - 1
+    for f in free:
+        if f.bit_count() == dim:
+            core &= f
+    assert monomial_dim_core(n, exps) == (dim, core)
+    for m in data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * n).filter(any),
+                                min_size=1, max_size=4)):
+        drops = monomial_dim(n, exps + [m]) == dim - 1
+        assert drops == (_support(m) & ~core == 0)
+
+
+def test_core_edge_cases():
+    assert monomial_dim_core(3, [(1, 0, 0), (0, 0, 0)]) == (-1, 0)
+    assert monomial_dim_core(3, []) == (3, 0b111)
+    assert monomial_dim_core(3, [(1, 1, 0), (1, 0, 1)]) == (2, 0b110)
+    pairs = [tuple(1 if i // 2 == k else 0 for i in range(24)) for k in range(12)]
+    with pytest.raises(ValueError, match="too large"):
+        monomial_dim_core(24, pairs)

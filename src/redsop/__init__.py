@@ -14,11 +14,9 @@ from .poly import (
     GrevlexOrder,
     HomogeneityError,
     LexOrder,
-    MonomialOrder,
     ParseError,
     Polynomial,
     PolyRing,
-    normal_form,
     parse_poly,
 )
 from .groebner import Ideal, buchberger
@@ -43,7 +41,6 @@ from .sop import (
     RetryBudgetError,
     ViolationWitness,
     depth_oracle,
-    is_cm_depth,
     is_cm_reducing,
     is_part_of_sop,
     is_reducing_sop,

@@ -5,7 +5,8 @@ Exit codes: 0 determinate verdict, 2 input error, 3 inconclusive
 breach (always a bug).  A session's seed comes from its own ``seed``
 line, then --seed, then the REDSOP_SEED environment variable, then 0;
 ``corpus`` and ``check`` take --seed, then REDSOP_SEED, then 0.  A
-session block with ``output human`` is rendered as with --human.
+REDSOP_SEED that is not an integer is an input error wherever it is
+read.  A session block with ``output human`` is rendered as with --human.
 """
 
 from __future__ import annotations
@@ -28,14 +29,22 @@ from .session import (
 SEED_ENV = "REDSOP_SEED"
 
 
-def _env_seed():
+def _seed(args):
+    """--seed, else REDSOP_SEED, else None; a non-integer REDSOP_SEED raises ValueError."""
+    if args.seed is not None:
+        return args.seed
     value = os.environ.get(SEED_ENV)
     if value is None:
         return None
     try:
         return int(value)
     except ValueError:
-        return None
+        raise ValueError(f"{SEED_ENV} must be an integer, got {value!r}") from None
+
+
+def _input_error(command, exc):
+    return {"schema": SCHEMA, "command": command,
+            "status": "input_error", "error": str(exc), "timing_ms": None}
 
 
 def _emit(report, human):
@@ -54,7 +63,11 @@ def _cmd_run(args):
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
-    default_seed = args.seed if args.seed is not None else _env_seed()
+    try:
+        default_seed = _seed(args)
+    except ValueError as exc:
+        _emit(_input_error(None, exc), args.human)
+        return EXIT_INPUT_ERROR
     report, code, output = run_block_with_output(text, default_seed, timings=args.timings)
     _emit(report, args.human or output == "human")
     return code
@@ -68,31 +81,29 @@ def _cmd_corpus(args):
             max_degree=args.max_degree,
             squarefree=args.squarefree,
             count=args.count,
-            seed=args.seed if args.seed is not None else (_env_seed() or 0),
+            seed=_seed(args) or 0,
             p=args.characteristic,
             force=args.force,
         )
         report, code = corpus_report(spec, args.command)
     except ValueError as exc:
-        report = {"schema": SCHEMA, "command": "generate-corpus",
-                  "status": "input_error", "error": str(exc), "timing_ms": None}
+        report = _input_error("generate-corpus", exc)
         code = EXIT_INPUT_ERROR
     _emit(report, args.human)
     return code
 
 
 def _cmd_check(args):
-    seed = args.seed if args.seed is not None else (_env_seed() or 0)
     given = (("count", args.count), ("vars", args.vars),
              ("max-gens", args.max_gens), ("max-degree", args.max_degree))
     options = [(key, value) for key, value in given if value is not None]
-    report = {"schema": SCHEMA, "command": "check-theorems", "seed": seed,
-              "status": "ok", "timing_ms": None}
     try:
+        seed = _seed(args) or 0
+        report = {"schema": SCHEMA, "command": "check-theorems", "seed": seed,
+                  "status": "ok", "timing_ms": None}
         code = check_theorems(report, args.suites, options, seed)
     except ValueError as exc:
-        report = {"schema": SCHEMA, "command": "check-theorems",
-                  "status": "input_error", "error": str(exc), "timing_ms": None}
+        report = _input_error("check-theorems", exc)
         code = EXIT_INPUT_ERROR
     _emit(report, args.human)
     return code

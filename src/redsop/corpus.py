@@ -2,7 +2,8 @@
 
 All sampling goes through explicit :class:`random.Random` instances
 (Mersenne Twister), so a seed pins every fixture byte for byte.  Bounds
-default to desk scale and are enforced unless ``force`` is set.
+default to desk scale and are enforced unless ``force`` is set; no
+generator-count or degree bound may pass BOUND_LIMIT, forced or not.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ _VAR_POOL = ("X", "Y", "Z", "W", "V", "U", "T", "S")
 MAX_VARS = 4
 MAX_GENS = 6
 MAX_DEGREE = 4
+# draws cost time linear in both bounds; larger values are refused outright
+BOUND_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,8 @@ class CorpusSpec:
                 raise ValueError(f"max_gens > {MAX_GENS}; pass force to override the cap")
             if self.max_degree > MAX_DEGREE:
                 raise ValueError(f"max_degree > {MAX_DEGREE}; pass force to override the cap")
+        if max(self.max_gens, self.max_degree) > BOUND_LIMIT:
+            raise ValueError(f"generator count and degree bounds must be at most {BOUND_LIMIT}")
 
 
 def default_ring(n, p=32003):
@@ -113,10 +118,10 @@ def module_stream(seed, n_values=(2, 3, 4), max_gens=5, max_degree=4,
         yield M, rng
 
 
-def random_homogeneous_element(ring, rng, max_degree=3, monomial_bias=0.5):
-    """Random nonzero homogeneous polynomial of positive degree."""
+def random_homogeneous_element(ring, rng, max_degree=3):
+    """Random nonzero homogeneous polynomial of positive degree; half are monomials."""
     deg = rng.randint(1, max_degree)
-    if rng.random() < monomial_bias:
+    if rng.random() < 0.5:
         m = random_monomial(rng, ring.n, deg)
         return Polynomial(ring, {m: 1})
     while True:
@@ -129,16 +134,18 @@ def random_homogeneous_element(ring, rng, max_degree=3, monomial_bias=0.5):
             return Polynomial(ring, terms, _raw=True)
 
 
-def greedy_monomial_sequence(M, length, rng, step_tries=24):
+def greedy_monomial_sequence(M, length, rng):
     """Monomial sequence dropping the dimension by one at every step.
 
     Builds part of a system of parameters out of monomials when the
     candidate pool allows it; returns None when some step gets stuck
     (many modules admit no monomial parameters at all).  M must be a
-    monomial module.  Each step runs :func:`monomial_dim_core` once on
-    the exponents of its ideal plus the steps so far and takes the first
-    shuffled candidate whose support lies inside the core, which is
-    exactly a candidate lowering the dimension by one.
+    monomial module.  The candidates of a step are each x_i and x_i^2
+    and 24 random monomials of degree at most 3.  Each step runs
+    :func:`monomial_dim_core` once on the exponents of its ideal plus
+    the steps so far and takes the first shuffled candidate whose
+    support lies inside the core, which is exactly a candidate lowering
+    the dimension by one.
     """
     ring = M.ring
     exps = M.ideal.monomial_exponents()
@@ -153,7 +160,7 @@ def greedy_monomial_sequence(M, length, rng, step_tries=24):
                 m = [0] * ring.n
                 m[v] = e
                 candidates.append(tuple(m))
-        for _ in range(step_tries):
+        for _ in range(24):
             candidates.append(random_monomial(rng, ring.n, 3))
         rng.shuffle(candidates)
         core = monomial_dim_core(ring.n, exps)[1]

@@ -15,7 +15,7 @@ out, the basis is minimalized and each tail is reduced once against the
 others: the leading monomials of a minimal basis no longer change, so
 one pass leaves every element reduced.
 
-Quotients, saturations, intersections and eliminations all reduce to one
+Quotients, saturations and intersections all reduce to one
 elimination basis with a tag variable t placed first: ``t*A + (1-t)*B``
 for intersections, ``(J : f) = (J cap (f))/f`` for quotients, and the
 Rabinowitsch form ``(J : f^inf) = (J + (1 - t*f)) cap R`` for saturations,
@@ -46,7 +46,6 @@ from .poly import (
     Polynomial,
     PolyRing,
     _nf_raw,
-    _normal_form,
     mono_divides,
     mono_lcm,
 )
@@ -291,13 +290,16 @@ class Ideal:
         return basis
 
     def reduce(self, f, order=GREVLEX):
-        """Normal form of f against the reduced basis for the order."""
+        """Normal form of f against the reduced basis for the order.
+
+        The one division entry point: the reduced basis is monic, so its
+        elements are the records :func:`poly._nf_raw` divides by.
+        """
         if f.ring != self.ring:
             raise ValueError("ring mismatch")
-        basis = self.groebner_basis(order)
-        if not basis:
-            return f
-        return _normal_form(f, basis, order)
+        okey = order.key
+        records = [(max(g.terms, key=okey), g.terms) for g in self.groebner_basis(order)]
+        return Polynomial(f.ring, _nf_raw(f.terms, records, okey, f.ring.p), _raw=True)
 
     def contains(self, f):
         return self.reduce(f).is_zero()
@@ -433,31 +435,6 @@ class Ideal:
         gens = [t * lift(a) for a in self.gens if not a.is_zero()]
         gens += [(ext.one - t) * lift(b) for b in other.gens if not b.is_zero()]
         return _contract(gens, 1, self.ring)
-
-    def eliminate(self, drop):
-        """Contract to the subring without the dropped variables."""
-        drop = set(drop)
-        unknown = drop - set(self.ring.var_names)
-        if unknown:
-            raise ValueError(f"unknown variables {sorted(unknown)}")
-        if not drop:
-            return self
-        kept_names = tuple(n for n in self.ring.var_names if n not in drop)
-        if not kept_names:
-            raise ValueError("cannot eliminate every variable")
-        dropped_names = tuple(n for n in self.ring.var_names if n in drop)
-        perm_ring = PolyRing(dropped_names + kept_names, self.ring.p)
-        positions = [self.ring.var_names.index(n) for n in perm_ring.var_names]
-
-        def permute(g):
-            return Polynomial(
-                perm_ring,
-                {tuple(m[i] for i in positions): c for m, c in g.terms.items()},
-                _raw=True,
-            )
-
-        return _contract([permute(g) for g in self.gens if not g.is_zero()],
-                         len(dropped_names), PolyRing(kept_names, self.ring.p))
 
     def radical_contains(self, f):
         """Membership f in rad(J): whether J + (1 - t*f) is the unit ideal."""

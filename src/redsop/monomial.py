@@ -41,15 +41,6 @@ class MonomialPrime:
     def to_ideal(self):
         return Ideal(self.ring, tuple(self.ring.var(n) for n in self.sorted_vars()))
 
-    def contains(self, f):
-        return member_of_monomial_prime(f, self)
-
-    def __le__(self, other):
-        return self.vars <= other.vars
-
-    def __lt__(self, other):
-        return self.vars < other.vars
-
     def __str__(self):
         return "(" + ", ".join(self.sorted_vars()) + ")"
 

@@ -59,10 +59,6 @@ def _is_prime(p):
 # ---------------------------------------------------------------------------
 # monomials (bare exponent tuples)
 
-def mono_mul(a, b):
-    return tuple(map(add, a, b))
-
-
 def mono_lcm(a, b):
     return tuple(map(max, a, b))
 
@@ -86,40 +82,26 @@ def monomials_of_degree(n, d):
 
 
 # ---------------------------------------------------------------------------
-# monomial orders
-
-class MonomialOrder:
-    """Total multiplicative order on exponent tuples, exposed as a sort key."""
-
-    name = "order"
-
-    def key(self, exps):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return self.name
-
+# monomial orders: frozen objects whose ``key`` sorts exponent tuples into a
+# total multiplicative order
 
 def _grev_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
 @dataclass(frozen=True)
-class GrevlexOrder(MonomialOrder):
-    name = "grevlex"
+class GrevlexOrder:
     key = staticmethod(_grev_key)
 
 
 @dataclass(frozen=True)
-class LexOrder(MonomialOrder):
-    name = "lex"
-
+class LexOrder:
     def key(self, exps):
         return exps
 
 
 @dataclass(frozen=True)
-class EliminationOrder(MonomialOrder):
+class EliminationOrder:
     """Block order that eliminates the first ``first`` variables.
 
     Both blocks are compared by grevlex; any monomial involving an
@@ -127,7 +109,6 @@ class EliminationOrder(MonomialOrder):
     """
 
     first: int
-    name = "elim"
 
     def key(self, exps):
         k = self.first
@@ -283,9 +264,6 @@ class Polynomial:
     def is_monomial(self):
         return len(self.terms) == 1
 
-    def coefficient(self, mono):
-        return self.terms.get(tuple(mono), self.ring.coeff(0))
-
     def leading_monomial(self, order=GREVLEX):
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
@@ -368,11 +346,6 @@ class Polynomial:
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
         return _power(self, k, Polynomial.__mul__)
-
-    def monic(self, order=GREVLEX):
-        if not self.terms:
-            return self
-        return self.scale(self.ring.coeff_inv(self.leading_coeff(order)))
 
     # -- equality / hashing / display ----------------------------------
 
@@ -601,23 +574,3 @@ def _nf_raw(fterms, basis, okey, p):
             rem[lm] = lc
     return rem
 
-
-def normal_form(f, basis, order=GREVLEX):
-    """Remainder of f on division by a list of nonzero polynomials.
-
-    No term of the result is divisible by any leading term of the basis,
-    and f minus the result lies in the ideal the basis generates.
-    """
-    for g in basis:
-        if f.ring != g.ring:
-            raise ValueError("ring mismatch")
-        if not g.terms:
-            raise ValueError("basis elements must be nonzero")
-    return _normal_form(f, [g.monic(order) for g in basis], order)
-
-
-def _normal_form(f, basis, order):
-    """:func:`normal_form` for monic basis polynomials of f's ring."""
-    okey = order.key
-    records = [(max(g.terms, key=okey), g.terms) for g in basis]
-    return Polynomial(f.ring, _nf_raw(f.terms, records, okey, f.ring.p), _raw=True)

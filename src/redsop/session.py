@@ -28,10 +28,10 @@ from fractions import Fraction
 from math import gcd
 
 from .cmlocus import cm_membership_general, cm_membership_monomial, cm_locus_monomial_r
-from .corpus import default_ring, fixtures
+from .corpus import BOUND_LIMIT, default_ring, fixtures
 from .groebner import Ideal
 from .monomial import MonomialPrime, ass_monomial, assh_monomial
-from .poly import HomogeneityError, ParseError, PolyRing
+from .poly import PolyRing
 from .sop import (
     CyclicModule,
     ParamSequence,
@@ -108,14 +108,12 @@ def parse_session(text):
                 m = _RING_RE.match(rest)
                 if not m:
                     raise SessionError("expected: ring [A,B,C] p=<char|0>", line_no)
-                names = tuple(s.strip() for s in m.group(1).split(",") if s.strip())
                 p = int(m.group(2)) if m.group(2) is not None else 32003
-                session.ring = PolyRing(names, p)
+                session.ring = PolyRing(_comma_list(m.group(1)), p)
             elif head == "ideal":
                 _need_ring(session, line_no)
-                texts = [s.strip() for s in rest.split(",") if s.strip()]
-                session.ideal_texts = tuple(texts)
-                session.ideal = Ideal(session.ring, [session.ring.poly(t) for t in texts])
+                session.ideal_texts = tuple(_comma_list(rest))
+                session.ideal = Ideal(session.ring, session.ideal_texts)
             elif head == "seq":
                 _need_ring(session, line_no)
                 name, _, body = rest.partition(":")
@@ -127,10 +125,10 @@ def parse_session(text):
                 _need_ring(session, line_no)
                 name, _, body = rest.partition(":")
                 name = name.strip()
-                gens = [s.strip() for s in body.split(",") if s.strip()]
+                gens = _comma_list(body)
                 if not name or not gens:
                     raise SessionError("expected: prime <name>: g1, g2, ...", line_no)
-                session.primes[name] = Ideal(session.ring, [session.ring.poly(t) for t in gens])
+                session.primes[name] = Ideal(session.ring, gens)
             elif head == "seed":
                 session.seed = int(rest)
             elif head == "output":
@@ -144,9 +142,9 @@ def parse_session(text):
                 session.arg = rest
             else:
                 raise SessionError(f"unknown statement {head!r}", line_no)
-        except (ParseError, ValueError) as exc:
-            if isinstance(exc, SessionError):
-                raise
+        except SessionError:
+            raise
+        except ValueError as exc:
             raise SessionError(str(exc), line_no) from exc
     if session.command is None:
         raise SessionError("session has no command", len(text.splitlines()) or 1)
@@ -156,6 +154,11 @@ def parse_session(text):
 def _need_ring(session, line_no):
     if session.ring is None:
         raise SessionError("declare the ring first", line_no)
+
+
+def _comma_list(text):
+    """The stripped, nonempty items of a comma-separated list."""
+    return [s.strip() for s in text.split(",") if s.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +258,7 @@ def _resolve_prime(session, arg):
         raise ValueError("missing prime argument")
     if arg in session.primes:
         return session.primes[arg]
-    gens = [s.strip() for s in arg.split(",") if s.strip()]
-    return Ideal(session.ring, [session.ring.poly(t) for t in gens])
+    return Ideal(session.ring, _comma_list(arg))
 
 
 def _as_monomial_prime(P):
@@ -288,11 +290,12 @@ def check_theorems(report, suites, options, seed):
 
     ``suites`` is a comma-separated list of suite names, or ``all``;
     ``options`` holds (name, value) pairs for ``count``, ``vars``,
-    ``max-gens``, ``max-degree`` and ``squarefree``, values as text or
-    int.  Bad names or options raise ValueError before any suite runs.
+    ``max-gens``, ``max-degree`` (each at most BOUND_LIMIT) and
+    ``squarefree``, values as text or int.  Bad names or options raise
+    ValueError before any suite runs.
     Adds the ``suites`` and ``passed`` fields and returns the exit code.
     """
-    names = [s.strip() for s in suites.split(",") if s.strip()]
+    names = _comma_list(suites)
     opts = {}
     count = None
     for key, val in options:
@@ -308,8 +311,12 @@ def check_theorems(report, suites, options, seed):
             bound = int(val)
             if bound < 1:
                 raise ValueError(f"{key} must be at least 1, got {bound}")
+            if bound > BOUND_LIMIT:
+                raise ValueError(f"{key} must be at most {BOUND_LIMIT}, got {bound}")
             opts[key.replace("-", "_")] = bound
         elif key == "squarefree":
+            if val not in ("1", "true", "yes", "0", "false", "no"):
+                raise ValueError(f"squarefree must be 1, true, yes, 0, false or no, got {val!r}")
             opts["squarefree"] = val in ("1", "true", "yes")
         else:
             raise ValueError(f"unknown check-theorems option {key!r}")
@@ -343,10 +350,6 @@ def run_command(session, default_seed=None, timings=False):
     start = time.monotonic()
     try:
         code = _dispatch(session, seed, report)
-    except (SessionError, ParseError, HomogeneityError) as exc:
-        report["status"] = "input_error"
-        report["error"] = str(exc)
-        code = EXIT_INPUT_ERROR
     except RetryBudgetError as exc:
         report["status"] = "inconclusive"
         report["error"] = str(exc)
@@ -497,7 +500,7 @@ def run_block_with_output(text, default_seed=None, timings=False):
     """:func:`run_block` plus the block's ``output`` mode (None if absent or unparsed)."""
     try:
         session = parse_session(text)
-    except (SessionError, ParseError, ValueError) as exc:
+    except ValueError as exc:
         report = {
             "schema": SCHEMA,
             "command": None,

@@ -506,8 +506,3 @@ def is_cm_reducing(M, seed):
     J = M.ideal + ys.elems[:-1]
     nzd = _is_nzd(J, ys[-1], J + (ys[-1],))
     return nzd, CmCertificate(M.d, ys, nzd)
-
-
-def is_cm_depth(M, seed=0):
-    """Cohen-Macaulay test by the independent depth oracle."""
-    return depth_oracle(M, seed) == M.d

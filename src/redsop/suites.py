@@ -47,7 +47,7 @@ from .poly import Polynomial, mono_lcm
 from .sop import (
     CyclicModule,
     ParamSequence,
-    is_cm_depth,
+    depth_oracle,
     is_cm_reducing,
     is_part_of_sop,
     is_reducing_sop,
@@ -115,10 +115,10 @@ def _sub_seed(rng):
 # ---------------------------------------------------------------------------
 # kernel invariants
 
-def _random_homogeneous_ideal(ring, rng, max_gens=3):
-    """Random homogeneous non-monomial test ideal (linear and binomial gens)."""
+def _random_homogeneous_ideal(ring, rng):
+    """Random homogeneous non-monomial test ideal: 1-3 linear and binomial gens."""
     gens = []
-    for _ in range(rng.randint(1, max_gens)):
+    for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.5:
             gens.append(random_homogeneous(ring, 1, rng))
         else:
@@ -345,7 +345,7 @@ def suite_cm_equivalence(res, master, count, **opts):
         M, rng = next(stream)
         res.instances += 1
         via_reducing, cert = is_cm_reducing(M, _sub_seed(rng))
-        via_depth = is_cm_depth(M, _sub_seed(rng))
+        via_depth = depth_oracle(M, _sub_seed(rng)) == M.d
         res.record(via_reducing == via_depth,
                    lambda: _fixture_detail(M, reducing=via_reducing, depth=via_depth,
                                            sop=cert.sop))
@@ -359,7 +359,7 @@ def suite_cm_regular(res, master, count, **opts):
     for _ in range(count):
         M, rng = next(stream)
         res.instances += 1
-        cm = is_cm_depth(M, _sub_seed(rng))
+        cm = depth_oracle(M, _sub_seed(rng)) == M.d
         for _ in range(2):
             sop = random_sop(M, _sub_seed(rng))
             res.record(is_regular_sequence(sop, M) == cm,
@@ -389,13 +389,13 @@ def suite_cm_regular(res, master, count, **opts):
 # ---------------------------------------------------------------------------
 # permutation invariance of reducing parts (r < d)
 
-def _sampled_reducing_parts(M, rng, tries=3):
-    """A few verified reducing parts of M with 1 <= r < d."""
+def _sampled_reducing_parts(M, rng):
+    """A few verified reducing parts of M with 1 <= r < d: three tries, one greedy."""
     out = []
     if M.d < 2:
         return out
     m_ideal = M.ring.irrelevant_ideal()
-    for _ in range(tries):
+    for _ in range(3):
         r = rng.randint(1, M.d - 1)
         res = construct_reducing_part_in_prime(M, m_ideal, r, _sub_seed(rng))
         if res.ok:
@@ -596,7 +596,7 @@ def suite_locus_identities(res, master, count, **opts):
                                                want=[str(p) for p in sorted(want, key=lambda z: z.sorted_vars())]))
         full = MonomialPrime(M.ring, frozenset(M.ring.var_names))
         entry = cm_membership_monomial(full, M, _sub_seed(rng))
-        res.record(entry.member == is_cm_depth(M, _sub_seed(rng)),
+        res.record(entry.member == (depth_oracle(M, _sub_seed(rng)) == M.d),
                    lambda: _fixture_detail(M, law="irrelevant ideal membership iff CM"))
 
 

@@ -375,3 +375,66 @@ def test_default_ring_rejects_out_of_range_counts():
     for n in (0, 9):
         with pytest.raises(ValueError):
             default_ring(n)
+
+
+# Before BOUND_LIMIT each of these drew for minutes: one exponent step per
+# unit of degree, up to max-gens monomials per ideal.
+@pytest.mark.parametrize("argv", [
+    ["check", "--suites", "zero-divisor", "--count", "1", "--max-degree", "100000000"],
+    ["check", "--suites", "kernel", "--count", "1", "--max-gens", "100000000"],
+    ["run", "-e", "check-theorems oracle count=1 max-degree=50000000\n"],
+    ["corpus", "--force", "--count", "1", "--max-gens", "100000000"],
+    ["corpus", "--force", "--count", "1", "--max-degree", "100000000"],
+], ids=["check-degree", "check-gens", "session-degree", "corpus-gens", "corpus-degree"])
+def test_huge_fixture_bounds_are_refused_at_once(argv, capsys, monkeypatch):
+    from redsop.cli import main
+
+    monkeypatch.delenv("REDSOP_SEED", raising=False)
+    start = time.monotonic()
+    assert main(argv) == EXIT_INPUT_ERROR
+    assert time.monotonic() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["status"] == "input_error"
+
+
+def test_fixture_bound_limit_itself_answers(capsys, monkeypatch):
+    from redsop.cli import main
+    from redsop.corpus import BOUND_LIMIT
+
+    monkeypatch.delenv("REDSOP_SEED", raising=False)
+    bound = str(BOUND_LIMIT)
+    assert main(["corpus", "--force", "--vars", "8", "--max-gens", bound,
+                 "--max-degree", bound, "--count", "10"]) == EXIT_OK
+    assert len(json.loads(capsys.readouterr().out)["fixtures"]) == 10
+    assert main(["check", "--suites", "zero-divisor", "--count", "1",
+                 "--max-degree", bound]) == EXIT_OK
+    report, code = run(f"check-theorems oracle count=1 max-degree={bound}\n")
+    assert code == EXIT_OK and report["passed"] is True
+
+
+def test_check_theorems_squarefree_values():
+    base = "check-theorems permutation count=1"
+    off = run(base + "\n")[0]["suites"]
+    on = run(base + " squarefree=1\n")[0]["suites"]
+    for value in ("0", "false", "no"):
+        assert run(f"{base} squarefree={value}\n")[0]["suites"] == off
+    for value in ("true", "yes"):
+        assert run(f"{base} squarefree={value}\n")[0]["suites"] == on
+    for value in ("maybe", "", "2"):
+        report, code = run(f"{base} squarefree={value}\n")
+        assert code == EXIT_INPUT_ERROR and report["status"] == "input_error"
+        assert "suites" not in report
+
+
+@pytest.mark.parametrize("argv", [["run", "-e", FIXTURE + "dim\n"],
+                                  ["check", "--suites", "dimension-filter", "--count", "1"],
+                                  ["corpus", "--count", "1"]],
+                         ids=["run", "check", "corpus"])
+def test_non_integer_env_seed_is_input_error(argv, capsys, monkeypatch):
+    from redsop.cli import main
+
+    monkeypatch.setenv("REDSOP_SEED", "abc")
+    assert main(argv) == EXIT_INPUT_ERROR
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "input_error" and "REDSOP_SEED" in report["error"]
+    # --seed comes first, so the variable is not read
+    assert main(argv + ["--seed", "1"]) == EXIT_OK

@@ -99,31 +99,6 @@ def test_intersection(R):
     assert R.ideal("X").intersect(R.ideal("Y")) == R.ideal("XY")
 
 
-def test_eliminate_tag_variable():
-    ring = PolyRing(("t", "X", "Y"))
-    J = Ideal(ring, [ring.poly("tX"), ring.poly("Y - tY")])
-    out = J.eliminate({"t"})
-    assert out.ring.var_names == ("X", "Y")
-    assert out == out.ring.ideal("XY")
-
-
-def test_eliminate_middle_variable(R):
-    out = R.ideal("X - Y", "Y - Z").eliminate({"Y"})
-    assert out.ring.var_names == ("X", "Z")
-    assert out == out.ring.ideal("X - Z")
-
-
-def test_eliminate_nothing(R):
-    J = R.ideal("XY")
-    assert J.eliminate(set()) == J
-
-
-def test_eliminate_everything_in_support(R):
-    out = R.ideal("X - Y").eliminate({"X"})
-    assert out.ring.var_names == ("Y", "Z")
-    assert out.is_zero()
-
-
 def test_radical_membership(R):
     assert R.ideal("X^2").radical_contains(R.poly("X"))
     assert not R.ideal("XY", "XZ").radical_contains(R.poly("Y"))

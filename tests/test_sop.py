@@ -7,7 +7,6 @@ from redsop import (
     ParamSequence,
     PolyRing,
     depth_oracle,
-    is_cm_depth,
     is_cm_reducing,
     is_part_of_sop,
     is_reducing_sop,
@@ -249,24 +248,24 @@ def test_cm_tests_on_fixture(M):
     ok, cert = is_cm_reducing(M, seed=21)
     assert not ok
     assert cert.sop is not None and not cert.last_is_nzd
-    assert not is_cm_depth(M, seed=22)
+    assert depth_oracle(M, seed=22) != M.d
 
 
 def test_cm_tests_on_hypersurface():
     ring = PolyRing(("X", "Y"))
     M1 = CyclicModule(ring.ideal("XY"))
     assert is_cm_reducing(M1, seed=31)[0]
-    assert is_cm_depth(M1, seed=32)
+    assert depth_oracle(M1, seed=32) == M1.d
 
 
 def test_cm_tests_on_free_module(R):
     free = CyclicModule(Ideal(R, ()))
     assert is_cm_reducing(free, seed=41)[0]
-    assert is_cm_depth(free, seed=42)
+    assert depth_oracle(free, seed=42) == free.d
 
 
 def test_cm_tests_zero_dimensional(R):
     M0 = CyclicModule(R.irrelevant_ideal())
     ok, cert = is_cm_reducing(M0, seed=5)
     assert ok and cert.sop is None
-    assert is_cm_depth(M0, seed=5)
+    assert depth_oracle(M0, seed=5) == M0.d

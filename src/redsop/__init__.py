@@ -25,6 +25,7 @@ from .monomial import (
     MonomialPrime,
     ass_monomial,
     assh_monomial,
+    depth_monomial,
     irreducible_decomposition,
     localize_at_monomial_prime,
     member_of_monomial_prime,

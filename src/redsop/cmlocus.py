@@ -3,7 +3,8 @@
 A prime P in Supp M belongs to the locus when dim R/P + dim M_P = dim M
 and M_P is Cohen-Macaulay; the stratum of the locus with dim M_P = r is
 enumerated exactly over monomial primes (localization is combinatorial
-there), while general homogeneous primes get a one-sided randomized
+there, and the local depth comes from Betti numbers with no random draw),
+while general homogeneous primes get a one-sided randomized
 membership test built on an inductive construction: pick elements of P,
 one at a time, that avoid every associated prime of the successive
 quotients of too-large dimension.  When the construction succeeds, P is
@@ -21,6 +22,7 @@ import random
 from .groebner import Ideal
 from .monomial import (
     MonomialPrime,
+    depth_monomial,
     localize_at_monomial_prime,
     monomial_exponents_strict,
     monomial_primes,
@@ -43,11 +45,14 @@ from .sop import (
 class CmLocusEntry:
     """Membership verdict for one prime, with enough data to re-verify.
 
-    For members, dim R/P + r = dim M always holds; ``certificate`` holds
-    the constructed sequence for the randomized test (or the localized
-    dimension/depth pair for exact monomial answers).  ``status`` is
-    ``"member"``, ``"non_member"`` or ``"inconclusive"``; the last one
-    only arises from the randomized test on general primes.
+    For members, dim R/P + r = dim M always holds.  ``certificate`` holds
+    the constructed sequence for the randomized test; exact monomial
+    answers carry the localized dimension/depth pair instead, the depth
+    computed by :func:`monomial.depth_monomial` (the randomized depth
+    only past its lattice budget).  ``status`` is ``"member"``,
+    ``"non_member"`` or ``"inconclusive"``; the last one only arises from
+    the randomized test on general primes, so monomial answers never
+    carry it.
     """
 
     prime: object  # MonomialPrime or Ideal (asserted prime)
@@ -65,7 +70,11 @@ class CmLocusEntry:
 
 
 def cm_membership_monomial(P, M, seed=0):
-    """Exact locus membership of a monomial prime for monomial M."""
+    """Exact locus membership of a monomial prime for monomial M.
+
+    The seed feeds only the randomized depth, which runs when the lcm
+    lattice of the localized ideal passes LCM_LATTICE_BUDGET.
+    """
     if not isinstance(P, MonomialPrime):
         raise TypeError("expected a MonomialPrime")
     exps = monomial_exponents_strict(M.ideal)
@@ -88,7 +97,9 @@ def cm_membership_monomial(P, M, seed=0):
         return CmLocusEntry(P, "non_member", dim_point, r=dim_local,
                             dim_local=dim_local,
                             reason=f"dim R/P + dim M_P = {dim_point + dim_local} != {d}")
-    depth_local = depth_oracle(Mp, seed)
+    depth_local = depth_monomial(Jp)
+    if depth_local is None:  # lcm lattice past LCM_LATTICE_BUDGET
+        depth_local = depth_oracle(Mp, seed)
     if depth_local != dim_local:
         return CmLocusEntry(P, "non_member", dim_point, r=dim_local,
                             dim_local=dim_local, depth_local=depth_local,

@@ -10,17 +10,28 @@ predicates against these answers.
 Hilbert numerators of monomial ideals (:func:`hilbert_numerator`) come
 from the same exponent tuples; the engine reads them off leading-term
 ideals to decide non-zero-divisors without a colon.
+
+Depth is exact too (:func:`depth_monomial`): n minus the projective
+dimension, read off the Betti numbers at the points of the lcm lattice,
+each the reduced homology of an upper Koszul simplicial complex over the
+ring's own field.  It makes no random draw and needs no Groebner basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
+from operator import and_
 
 from .groebner import Ideal, _minimalize_monomials, _monomial_ideal
-from .poly import Polynomial, PolyRing, mono_lcm
+from .poly import Polynomial, PolyRing, mono_divides, mono_lcm
 
 # monomial_primes lists all 2^n primes; beyond this many variables it refuses
 MONOMIAL_PRIME_VARS = 8
+
+# lcm-lattice points depth_monomial builds; past it the answer is None
+LCM_LATTICE_BUDGET = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -298,3 +309,131 @@ def monomial_primes_over(J):
     """Monomial primes containing J, i.e. the monomial part of Supp R/J."""
     exps = monomial_exponents_strict(J)
     return [P for P in monomial_primes(J.ring) if monomials_in_prime(exps, P)]
+
+
+def depth_monomial(J):
+    """Depth of R/J for a proper monomial ideal J, with no random draws.
+
+    Auslander-Buchsbaum gives depth R/J = n - pd R/J, and pd R/J is
+    1 + pd J for J != 0.  The Betti numbers of J are
+    beta_{i,b}(J) = dim H~_{i-1}(K^b(J)) on the upper Koszul simplicial
+    complex K^b(J) = {squarefree tau <= b : x^(b - tau) in J} (Miller &
+    Sturmfels 2005, Thm 1.34), and only points b of the lcm lattice of
+    the minimal generators carry one (Gasharov, Peeva & Welker 1999).
+    Homology is taken by ranks over the ring's own field, GF(p) or the
+    rationals for p = 0: torsion makes it depend on the field.  Returns
+    None when the lattice has more than LCM_LATTICE_BUDGET points.
+    """
+    n = J.ring.n
+    gens = _minimalize_monomials(monomial_exponents_strict(J))
+    if not gens:
+        return n
+    lattice = _lcm_lattice(gens)
+    if lattice is None:
+        return None
+    pd = 0  # beta_{0,g}(J) = 1 at every minimal generator g
+    for size, b in sorted(((sum(map(bool, b)), b) for b in lattice), reverse=True):
+        if size - 1 <= pd:  # H~_j(K^b) vanishes for j > size - 2
+            break
+        j = _top_homology(_upper_koszul_facets(b, gens), size, pd, J.ring.p)
+        if j is not None:
+            pd = j + 1
+    return n - pd - 1
+
+
+def _lcm_lattice(gens):
+    """All lcms of nonempty sets of generators, by joins; None past the budget."""
+    points = set(gens)
+    if len(points) > LCM_LATTICE_BUDGET:
+        return None
+    frontier = list(points)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g in gens:
+                c = mono_lcm(a, g)
+                if c not in points:
+                    if len(points) == LCM_LATTICE_BUDGET:
+                        return None
+                    points.add(c)
+                    fresh.append(c)
+        frontier = fresh
+    return points
+
+
+def _upper_koszul_facets(b, gens):
+    """Facets of K^b as variable bit masks.
+
+    For a generator g dividing x^b, x^g divides x^(b - tau) exactly when
+    tau avoids the variables where g reaches b, so K^b is the union of
+    the simplices on supp b minus those variables.
+    """
+    support = sum(1 << i for i, e in enumerate(b) if e)
+    return {support & ~sum(1 << i for i, e in enumerate(g) if e == b[i])
+            for g in gens if mono_divides(g, b)}
+
+
+def _top_homology(facets, size, floor, p):
+    """The largest j >= floor with H~_j of the complex nonzero, or None.
+
+    Reduced homology over GF(p), or over the rationals for p = 0, of the
+    complex with these facets on ``size`` vertices: dim H~_j = f_j -
+    rank d_j - rank d_{j+1}, where d_j sends faces of j + 1 vertices to
+    their faces of j vertices with alternating signs.
+    """
+    if reduce(and_, facets):  # a vertex in every facet: a cone, acyclic
+        return None
+    faces = [set() for _ in range(size + 1)]
+    for F in facets:
+        sub = F
+        while True:
+            faces[sub.bit_count()].add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & F
+    faces = [sorted(level) for level in faces]
+
+    def rank(j):  # rank of d_j: faces of j + 1 vertices to faces of j vertices
+        if not faces[j + 1]:
+            return 0
+        index = {tau: k for k, tau in enumerate(faces[j])}
+        rows = []
+        for tau in faces[j + 1]:
+            row, sign, rest = {}, 1, tau
+            while rest:
+                v = rest & -rest
+                row[index[tau ^ v]] = sign % p if p else sign
+                sign, rest = -sign, rest ^ v
+            rows.append(row)
+        return _rank(rows, p)
+
+    above = rank(size - 1)
+    for j in range(size - 2, floor - 1, -1):
+        here = rank(j)
+        if len(faces[j + 1]) - here - above > 0:
+            return j
+        above = here
+    return None
+
+
+def _rank(rows, p):
+    """Rank of sparse rows {column: entry} over GF(p), or over Q when p = 0."""
+    pivots = {}
+    for row in rows:
+        while row:
+            col = max(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(row[col], p - 2, p) if p else Fraction(1, row[col])
+                pivots[col] = {k: v * inv % p if p else v * inv for k, v in row.items()}
+                break
+            c = row[col]
+            for k, v in pivot.items():
+                w = row.get(k, 0) - c * v
+                if p:
+                    w %= p
+                if w:
+                    row[k] = w
+                else:
+                    row.pop(k, None)
+    return len(pivots)

@@ -129,6 +129,34 @@ def test_cm_locus_command():
     report, code = run(FIXTURE + "cm-locus 1\n")
     assert code == EXIT_OK
     assert sorted(e["prime"] for e in report["entries"]) == [["X", "Y"], ["X", "Z"]]
+    # the bytes the randomized depth gave before monomial depth became exact
+    digest = "c57aa08579c9d7baa2e7afcb8f1e823451ee8da99969452b3b0b3788901bb3db"
+    assert hashlib.sha256(render_report(report).encode()).hexdigest() == digest
+
+
+def test_cm_member_complete_graph_over_gf2():
+    # random linear forms over GF(2) are all zero-divisors on this ideal;
+    # the exact monomial depth needs none of them
+    names = "ABCDEFGH"
+    edges = ", ".join(a + b for i, a in enumerate(names) for b in names[i + 1:])
+    text = f"ring [{','.join(names)}] p=2\nideal {edges}\ncm-member {','.join(names)}\n"
+    report, code = run(text)
+    assert code == EXIT_OK and report["status"] == "ok"
+    assert report["entry"]["status"] == "member"
+    assert report["entry"]["depth_local"] == 1
+
+
+@pytest.mark.parametrize("cmd", ["cm-locus 0", "cm-locus 1", "cm-locus 2",
+                                 "cm-member X, Y", "cm-member X, Y, Z, W"])
+def test_monomial_locus_needs_no_basis_and_no_draw(monkeypatch, cmd):
+    def refuse(*args, **kwargs):
+        raise AssertionError("monomial locus reached a basis or a draw")
+
+    monkeypatch.setattr("redsop.groebner._buchberger_raw", refuse)
+    monkeypatch.setattr("redsop.cmlocus.depth_oracle", refuse)
+    monkeypatch.setattr("redsop.cmlocus.random_homogeneous", refuse)
+    report, code = run(f"ring [X,Y,Z,W] p=2\nideal XY, XZ, W^2X, YZW\n{cmd}\n")
+    assert code == EXIT_OK and report["status"] == "ok"
 
 
 def test_parse_error_exit_code():

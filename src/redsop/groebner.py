@@ -15,13 +15,19 @@ out, the basis is minimalized and each tail is reduced once against the
 others: the leading monomials of a minimal basis no longer change, so
 one pass leaves every element reduced.
 
-Quotients, saturations and intersections all reduce to one
-elimination basis with a tag variable t placed first: ``t*A + (1-t)*B``
-for intersections, ``(J : f) = (J cap (f))/f`` for quotients, and the
-Rabinowitsch form ``(J : f^inf) = (J + (1 - t*f)) cap R`` for saturations,
-whose unit test also decides radical membership.  Monomial ideals take
-exact combinatorial shortcuts; the verification suites pin them, and the
-saturation, against the generic and iterated-colon routes.
+Colons and saturations come from one basis (Bayer & Stillman 1987).
+For homogeneous J and f of degree e, adjoin a tag y of degree e, placed
+last, and take the reduced weighted-grevlex basis G of I = J + (y - f).
+Mapping y -> f sends I onto J and (I : y^k) onto (J : f^k).  Under a
+reverse-lexicographic order with y last, y divides the leading term of
+a homogeneous element only when it divides every term, so dividing y
+out of each element of G once gives a basis of (I : y), and dividing
+out every power a basis of (I : y^inf); their images are (J : f) and
+(J : f^inf).  Radical membership is a unit saturation.  Intersections
+are one elimination basis of ``t*A + (1-t)*B`` with the tag t placed
+first.  Monomial ideals take exact combinatorial shortcuts; the
+verification suites pin them against the tag route and the saturation
+against the iterated colon.
 
 Dimension is one search over supports held as bit masks
 (:func:`monomial_dim`) of :meth:`Ideal.leading_exponents`: a monomial
@@ -38,11 +44,13 @@ is a nonzero constant.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 from operator import add, sub
 
 from .poly import (
     GREVLEX,
     EliminationOrder,
+    HomogeneityError,
     Polynomial,
     PolyRing,
     _nf_raw,
@@ -235,29 +243,22 @@ def monomial_dim(n, exps):
     return monomial_dim_core(n, exps)[0]
 
 
-def _fresh_name(base, taken):
-    name = base
-    while name in taken:
+def _tag_name(ring):
+    """A variable name the ring does not use, for a tag variable."""
+    name = "t"
+    while name in ring.var_names:
         name = name + "0"
     return name
 
 
-def _tagged(ring):
-    """Ring with a fresh tag variable placed first, and the lift of R into it."""
-    tag = _fresh_name("t", set(ring.var_names))
-    ext = PolyRing((tag,) + ring.var_names, ring.p)
+@dataclass(frozen=True)
+class _TagOrder:
+    """Grevlex on R[y], the tag y placed last and counted in degree ``weight``."""
 
-    def lift(g):
-        return Polynomial(ext, {(0,) + m: c for m, c in g.terms.items()}, _raw=True)
+    weight: int
 
-    return ext, lift
-
-
-def _contract(gens, k, sub):
-    """Contraction to ``sub`` of (gens), eliminating the first k variables."""
-    basis = buchberger(gens, EliminationOrder(k))
-    return Ideal(sub, [Polynomial(sub, {m[k:]: c for m, c in g.terms.items()}, _raw=True)
-                       for g in basis if not any(any(m[:k]) for m in g.terms)])
+    def key(self, exps):
+        return (sum(exps) + (self.weight - 1) * exps[-1], tuple(-e for e in reversed(exps)))
 
 
 class Ideal:
@@ -378,70 +379,101 @@ class Ideal:
             raise ValueError("ring mismatch")
         return f
 
-    def _rabinowitsch(self, f):
-        """The ideal J + (1 - t*f) of the tag ring."""
-        ext, lift = _tagged(self.ring)
-        gens = [lift(g) for g in self.gens if not g.is_zero()]
-        gens.append(ext.one - ext.gen(0) * lift(f))
-        return Ideal(ext, gens)
-
     def quotient(self, f):
         """Colon ideal (J : f) = {g : g*f in J}."""
-        f = self._element(f)
-        if f.is_zero():
-            raise ValueError("quotient by zero polynomial")
-        if f.degree() == 0:
-            return self
-        exps = self.monomial_exponents()
-        if exps is not None and f.is_monomial():
-            fm = next(iter(f.terms))
-            quots = [tuple(max(e - d, 0) for e, d in zip(g, fm)) for g in exps]
-            return _monomial_ideal(self.ring, quots)
-        inter = self.intersect(Ideal(self.ring, (f,)))
-        return Ideal(self.ring, tuple(_exact_div(g, f) for g in inter.gens))
+        return self._colon(f, saturate=False)
 
     def quotient_ideal(self, other):
-        """Colon ideal (J : A), the intersection of (J : a) over generators."""
+        """Colon ideal (J : A), the intersection of (J : a) over A's reduced basis."""
         if other.ring != self.ring:
             raise ValueError("ring mismatch")
-        nz = [g for g in other.gens if not g.is_zero()]
-        if not nz:
+        basis = other.groebner_basis()
+        if not basis:
             raise ValueError("quotient by the zero ideal")
-        result = self.quotient(nz[0])
-        for g in nz[1:]:
+        result = self.quotient(basis[0])
+        for g in basis[1:]:
             result = result.intersect(self.quotient(g))
         return result
 
     def saturation(self, f):
-        """Saturation (J : f^inf), from one elimination basis of J + (1 - t*f)."""
+        """Saturation (J : f^inf) = {g : g*f^k in J for some k}.
+
+        Monomial J and f take the exact shortcut; any other input is read
+        off the same tag-last basis as the colon (see the module
+        docstring), and must be homogeneous (HomogeneityError otherwise).
+        """
+        return self._colon(f, saturate=True)
+
+    def _colon(self, f, saturate):
+        """(J : f^inf) when saturate, else (J : f): the monomial shortcut or the tag route."""
         f = self._element(f)
         if f.is_zero():
-            raise ValueError("saturation by zero polynomial")
+            raise ValueError("colon by the zero polynomial")
         if f.degree() == 0:
             return self
         exps = self.monomial_exponents()
         if exps is not None and f.is_monomial():
             fm = next(iter(f.terms))
-            freed = [tuple(0 if d else e for e, d in zip(g, fm)) for g in exps]
-            return _monomial_ideal(self.ring, freed)
-        return _contract(self._rabinowitsch(f).gens, 1, self.ring)
+            return _monomial_ideal(self.ring, [
+                tuple(0 if saturate and d else max(e - d, 0) for e, d in zip(g, fm))
+                for g in exps])
+        return self._tag_colon(f, saturate)
+
+    def _tag_colon(self, f, saturate):
+        """(J : f^inf) when saturate, else (J : f), from the basis of J + (y - f).
+
+        The tag y is placed last with the degree of f (see the module
+        docstring); J and f must be homogeneous.
+        """
+        if not (self.is_homogeneous() and f.is_homogeneous()):
+            raise HomogeneityError("colons need a homogeneous ideal and element")
+        ring = self.ring
+        ext = PolyRing(ring.var_names + (_tag_name(ring),), ring.p)
+
+        def lift(g):
+            return Polynomial(ext, {m + (0,): c for m, c in g.terms.items()}, _raw=True)
+
+        gens = [lift(g) for g in self.gens if g.terms]
+        gens.append(ext.gen(ring.n) - lift(f))
+        powers = [ring.one]  # f^k
+        colon = []
+        for g in buchberger(gens, _TagOrder(f.degree())):
+            shift = min(m[-1] for m in g.terms)
+            if not saturate:
+                shift = min(shift, 1)
+            by_power = {}  # y-exponent left after the shift -> coefficient in R
+            for m, c in g.terms.items():
+                by_power.setdefault(m[-1] - shift, {})[m[:-1]] = c
+            image = ring.zero
+            for k, terms in by_power.items():
+                while len(powers) <= k:
+                    powers.append(powers[-1] * f)
+                image = image + Polynomial(ring, terms, _raw=True) * powers[k]
+            if image:
+                colon.append(image)
+        return Ideal(ring, colon)
 
     def intersect(self, other):
-        """A cap B via elimination of a tag variable from t*A + (1-t)*B."""
+        """A cap B: the t-free part of the elimination basis of t*A + (1-t)*B."""
         if other.ring != self.ring:
             raise ValueError("ring mismatch")
-        ext, lift = _tagged(self.ring)
+        ring = self.ring
+        ext = PolyRing((_tag_name(ring),) + ring.var_names, ring.p)
+
+        def lift(g):
+            return Polynomial(ext, {(0,) + m: c for m, c in g.terms.items()}, _raw=True)
+
         t = ext.gen(0)
-        gens = [t * lift(a) for a in self.gens if not a.is_zero()]
-        gens += [(ext.one - t) * lift(b) for b in other.gens if not b.is_zero()]
-        return _contract(gens, 1, self.ring)
+        gens = [t * lift(a) for a in self.gens if a.terms]
+        gens += [(ext.one - t) * lift(b) for b in other.gens if b.terms]
+        basis = buchberger(gens, EliminationOrder(1))
+        return Ideal(ring, [Polynomial(ring, {m[1:]: c for m, c in g.terms.items()}, _raw=True)
+                            for g in basis if not any(m[0] for m in g.terms)])
 
     def radical_contains(self, f):
-        """Membership f in rad(J): whether J + (1 - t*f) is the unit ideal."""
+        """Membership f in rad(J): whether the saturation (J : f^inf) is the unit ideal."""
         f = self._element(f)
-        if f.is_zero():
-            return True
-        return self._rabinowitsch(f).is_unit()
+        return f.is_zero() or self.saturation(f).is_unit()
 
     def dim_quotient(self):
         """Krull dimension of R/J; -1 when J is the unit ideal.
@@ -463,34 +495,3 @@ def _monomial_ideal(ring, exps):
     exps = _minimalize_monomials(list(exps))
     return Ideal(ring, tuple(Polynomial(ring, {m: ring.coeff(1)}, _raw=True) for m in exps))
 
-
-def _exact_div(g, f):
-    """Quotient g/f for g in (f); raises if the division leaves a remainder."""
-    ring = g.ring
-    okey = GREVLEX.key
-    p = ring.p
-    fm = f.leading_monomial()
-    fc = f.leading_coeff()
-    finv = ring.coeff_inv(fc)
-    work = dict(g.terms)
-    quot = {}
-    while work:
-        lm = max(work, key=okey)
-        lc = work.pop(lm)
-        if not mono_divides(fm, lm):
-            raise RuntimeError("exact division left a remainder")
-        qm = tuple(map(sub, lm, fm))
-        qc = (lc * finv) % p if p else lc * finv
-        quot[qm] = qc
-        for tm, tc in f.terms.items():
-            if tm == fm:
-                continue
-            mm = tuple(map(add, tm, qm))
-            v = work.get(mm, 0) - qc * tc
-            if p:
-                v %= p
-            if v:
-                work[mm] = v
-            else:
-                work.pop(mm, None)
-    return Polynomial(ring, quot, _raw=True)

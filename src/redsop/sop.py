@@ -39,7 +39,13 @@ import random
 from dataclasses import dataclass, field
 
 from .groebner import Ideal
-from .monomial import ass_monomial, hilbert_numerator, member_of_monomial_prime, times_one_minus
+from .monomial import (
+    _rank,
+    ass_monomial,
+    hilbert_numerator,
+    member_of_monomial_prime,
+    times_one_minus,
+)
 from .poly import (
     HomogeneityError,
     Polynomial,
@@ -49,6 +55,8 @@ from .poly import (
 # Random draws per search step; make_reducing tries the identity first,
 # then RETRIES transforms.
 RETRIES = 32
+# Highest degree of the forms a depth level draws once its linear draws fail.
+CUT_DEGREE_CAP = 5
 
 
 class RetryBudgetError(RuntimeError):
@@ -327,38 +335,11 @@ def random_homogeneous(ring, degree, rng, allow_zero=False):
             return Polynomial(ring, terms, _raw=True)
 
 
-def _det(rows, ring):
-    """Determinant over the coefficient field by Gaussian elimination."""
-    m = len(rows)
-    a = [[ring.coeff(v) for v in row] for row in rows]
-    det = ring.coeff(1)
-    p = ring.p
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col]), None)
-        if pivot is None:
-            return ring.coeff(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det % p if p else -det
-        pv = a[col][col]
-        det = det * pv % p if p else det * pv
-        inv = ring.coeff_inv(pv)
-        for r in range(col + 1, m):
-            factor = a[r][col] * inv
-            if p:
-                factor %= p
-            if not factor:
-                continue
-            for c2 in range(col, m):
-                v = a[r][c2] - factor * a[col][c2]
-                a[r][c2] = v % p if p else v
-    return det
-
-
 def _random_invertible(m, ring, rng):
+    """Random m x m matrix of full rank over the coefficient field."""
     while True:
         rows = [[_random_coeff(ring, rng) for _ in range(m)] for _ in range(m)]
-        if _det(rows, ring):
+        if _rank([{j: v for j, v in enumerate(row) if v} for row in rows], ring.p) == m:
             return rows
 
 
@@ -457,6 +438,12 @@ def depth_with_certificate(M, seed=0):
     a zero-divisor and the socle colon (J : m) != J finds a nonzero socle;
     a nonzero socle makes every draw a zero-divisor, so drawing first
     changes no answer.  Only non-Artinian depth-0 levels run a colon.
+
+    A level draws RETRIES linear forms, then RETRIES forms of each degree
+    2, 3, ... up to CUT_DEGREE_CAP: over a small field every linear form
+    can be a zero-divisor while positive depth still gives a homogeneous
+    non-zero-divisor in some degree (graded prime avoidance; Bruns &
+    Herzog 1.5.12).  A cut of any positive degree certifies the depth.
     """
     rng = random.Random(seed)
     ring = M.ring
@@ -464,14 +451,14 @@ def depth_with_certificate(M, seed=0):
     J = M.ideal
     cuts = []
     while J.dim_quotient() > 0:
-        for attempt in range(RETRIES):
-            x = random_homogeneous(ring, 1, rng)
+        for draw in range(RETRIES * CUT_DEGREE_CAP):
+            x = random_homogeneous(ring, 1 + draw // RETRIES, rng)
             Jx = J + (x,)
             if _is_nzd(J, x, Jx):
                 J = Jx
                 cuts.append(x)
                 break
-            if attempt == 0 and J.quotient_ideal(m_ideal) != J:
+            if draw == 0 and J.quotient_ideal(m_ideal) != J:
                 return len(cuts), cuts
         else:
             raise RetryBudgetError(f"no non-zero-divisor found at depth {len(cuts)}")
@@ -481,7 +468,7 @@ def depth_with_certificate(M, seed=0):
 
 
 def depth_oracle(M, seed=0):
-    """Depth of M by greedy certified cuts with random degree-one forms."""
+    """Depth of M by greedy certified cuts with random forms, linear first."""
     return depth_with_certificate(M, seed)[0]
 
 

@@ -28,7 +28,7 @@ from .corpus import (
     random_monomial_exact,
     random_monomial_ideal,
 )
-from .groebner import Ideal, _exact_div
+from .groebner import Ideal
 from .monomial import (
     MonomialPrime,
     ass_monomial,
@@ -142,9 +142,8 @@ def _spoly_of(f, g):
 
 
 def _quotient_generic(J, f):
-    """Tag-variable colon route, bypassing the monomial shortcut."""
-    inter = J.intersect(Ideal(J.ring, (f,)))
-    return Ideal(J.ring, tuple(_exact_div(g, f) for g in inter.gens))
+    """The engine's tag-variable colon route, bypassing the monomial shortcut."""
+    return J._tag_colon(f, saturate=False)
 
 
 def _saturation_iterated(J, f):

@@ -4,7 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from redsop import GREVLEX, LEX, EliminationOrder, Ideal, Polynomial, PolyRing, buchberger, groebner
+from redsop import (
+    GREVLEX,
+    LEX,
+    EliminationOrder,
+    HomogeneityError,
+    Ideal,
+    Polynomial,
+    PolyRing,
+    buchberger,
+    groebner,
+)
 from redsop.corpus import CorpusSpec, default_ring, fixtures, random_monomial_ideal
 from redsop.monomial import monomial_intersection, oracle_dim
 from redsop.sop import _random_invertible
@@ -76,12 +86,48 @@ def test_saturation(R):
         I.saturation(R.zero)
 
 
-@pytest.mark.parametrize("p", [32003, 0])
+@pytest.mark.parametrize("p", [32003, 0, 2])
 def test_saturation_by_non_monomials(p):
     ring = PolyRing(("X", "Y", "Z"), p)
     J = ring.ideal("(X+Y)Y", "(X+Y)Z")
     assert J.saturation(ring.poly("Y")) == ring.ideal("X+Y")
     assert J.saturation(ring.poly("X+Y")) == ring.ideal("Y", "Z")
+
+
+@pytest.mark.parametrize("p", [32003, 0, 2])
+def test_colons_by_forms_of_degree_two_and_three(p):
+    ring = PolyRing(("X", "Y", "Z"), p)
+    for e in (2, 3):
+        f = ring.poly(f"(X+Y)^{e}")
+        J = ring.ideal(f"(X+Y)^{e} Y", f"(X+Y)^{e} Z")
+        assert J.quotient(f) == ring.ideal("Y", "Z")
+        assert J.saturation(f) == ring.ideal("Y", "Z")
+        assert J.quotient(ring.poly("(X+Y)Y")) == ring.ideal(f"(X+Y)^{e - 1}")
+        assert J.saturation(ring.poly("X^2 + Z^2")) == J
+
+
+def _is_colon(Q, J, f):
+    """Q = (J : f), checked through the elimination route: Q*f inside J and
+    (J cap (f)) inside f*Q."""
+    ring = J.ring
+    fQ = Ideal(ring, [f * q for q in Q.gens])
+    return (all(J.contains(f * q) for q in Q.gens)
+            and all(fQ.contains(g) for g in J.intersect(Ideal(ring, (f,))).gens))
+
+
+@pytest.mark.parametrize("p", [0, 2])
+def test_colons_of_non_monomial_ideals(p):
+    ring = PolyRing(("X", "Y", "Z"), p)
+    J = ring.ideal("X^2 Y + Y Z^2", "X Z^2 - Y^2 Z")
+    for text in ("X", "Y + Z", "X^2 - YZ", "XYZ"):
+        f = ring.poly(text)
+        Q = J.quotient(f)
+        S = J.saturation(f)
+        assert Q != J and not S.is_unit(), text
+        assert _is_colon(Q, J, f), text
+        # (J : f^4) is stable under (- : f), so it is the saturation
+        assert _is_colon(S, J, f ** 4) and S.quotient(f) == S, text
+    assert J.saturation(ring.poly("X")) != J.quotient(ring.poly("X"))
 
 
 def test_foreign_ring_element_is_refused(R):
@@ -103,6 +149,44 @@ def test_radical_membership(R):
     assert R.ideal("X^2").radical_contains(R.poly("X"))
     assert not R.ideal("XY", "XZ").radical_contains(R.poly("Y"))
     assert R.ideal("XY").radical_contains(R.zero)
+
+
+@pytest.mark.parametrize("p", [32003, 0, 2])
+def test_radical_membership_of_non_monomial_ideals(p):
+    ring = PolyRing(("X", "Y", "Z"), p)
+    J = ring.ideal("(X+Y)^3", "(X+Y)^2 Z", "Z^2")
+    assert J.radical_contains(ring.poly("X+Y"))
+    assert J.radical_contains(ring.poly("XZ + YZ + Z^2"))
+    assert not J.radical_contains(ring.poly("X"))
+    # rad J = (X+Y, Z); over GF(2), X^2 + Y^2 + Z^2 = (X+Y+Z)^2
+    assert J.radical_contains(ring.poly("X^2 + Y^2 + Z^2")) == (p == 2)
+
+
+def test_colons_refuse_inhomogeneous_input(R):
+    J = R.ideal("XY", "XZ")
+    inhomogeneous = R.ideal("XY + Z", "XZ")
+    for op in (J.quotient, J.saturation, J.radical_contains):
+        with pytest.raises(HomogeneityError):
+            op(R.poly("X^2 + Y"))
+    for op in (inhomogeneous.quotient, inhomogeneous.saturation,
+               inhomogeneous.radical_contains):
+        with pytest.raises(HomogeneityError):
+            op(R.poly("X"))
+
+
+def test_colons_build_no_elimination_basis(R, monkeypatch):
+    real = groebner.buchberger
+
+    def refuse_elimination(gens, order=GREVLEX):
+        assert not isinstance(order, EliminationOrder)
+        return real(gens, order)
+
+    monkeypatch.setattr(groebner, "buchberger", refuse_elimination)
+    J = R.ideal("(X+Y)Y", "(X+Y)Z", "X^2 + YZ")
+    for f in (R.poly("Y"), R.poly("X+Y"), R.poly("X^2 + Z^2")):
+        J.quotient(f).groebner_basis()
+        J.saturation(f).groebner_basis()
+        J.radical_contains(f)
 
 
 def test_dim_quotient(R):

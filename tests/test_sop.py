@@ -6,6 +6,7 @@ from redsop import (
     Ideal,
     ParamSequence,
     PolyRing,
+    depth_monomial,
     depth_oracle,
     is_cm_reducing,
     is_part_of_sop,
@@ -242,6 +243,16 @@ def test_depth_certificate_is_regular_sequence(R, M):
     depth, cuts = depth_with_certificate(M, seed=4)
     assert depth == 1 == len(cuts)
     assert is_regular_sequence(ParamSequence(R, cuts), M)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_depth_over_gf2_draws_higher_degree_cuts(seed):
+    # seeds 1 and 3 find no linear non-zero-divisor at depth 1
+    ring = PolyRing(("X", "Y", "Z", "W"), 2)
+    N = CyclicModule(ring.ideal("W", "XY^2Z"))
+    depth, cuts = depth_with_certificate(N, seed)
+    assert depth == depth_monomial(N.ideal) == 2
+    assert is_regular_sequence(ParamSequence(ring, cuts), N)
 
 
 def test_cm_tests_on_fixture(M):

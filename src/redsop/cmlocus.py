@@ -33,7 +33,6 @@ from .sop import (
     ConstructionResult,
     CyclicModule,
     ParamSequence,
-    ViolationWitness,
     _assoc_dim_witness,
     depth_oracle,
     is_reducing_sop,
@@ -138,27 +137,32 @@ def _random_element_of(P, degree, rng):
     return acc
 
 
-def construct_reducing_part_in_prime(M, P, r, seed):
-    """Build x1..xr in P forming part of a reducing sop of M, stepwise.
-
-    Step i draws random homogeneous combinations of P's generators until
-    one avoids every associated prime of M/(x1..x_{i-1})M of dimension
-    >= d - i (for the final step of a full sequence, until the quotient
-    dimension drops to zero).  Exhausting the budget at some step yields
-    a failure report; for true locus members an avoiding element exists
-    and a random draw finds it with overwhelming probability.
-    """
+def _check_prime(P, M):
+    """Refuse a P that is not a homogeneous Ideal of M's ring."""
     if not isinstance(P, Ideal):
         raise TypeError("expected an Ideal asserted to be prime")
     if P.ring != M.ring:
         raise ValueError("ring mismatch")
     if not P.is_homogeneous():
         raise ValueError("P must be homogeneous")
+
+
+def construct_reducing_part_in_prime(M, P, r, seed):
+    """Build x1..xr in P, 1 <= r < d, forming part of a reducing sop of M.
+
+    The paper's Theorem 2 loop: step i draws random homogeneous
+    combinations of P's generators until one avoids every associated
+    prime of M/(x1..x_{i-1})M of dimension >= d - i, a number read off
+    Hilbert series.  Exhausting the budget at some step yields a failure
+    report; for true locus members an avoiding element exists and a
+    random draw finds it with overwhelming probability.
+    """
+    _check_prime(P, M)
     if not all(P.contains(g) for g in M.ideal.gens):
         raise ValueError("P does not contain the defining ideal")
     d = M.d
-    if not 1 <= r <= d:
-        raise ValueError(f"r must lie in [1, {d}]")
+    if not 1 <= r < d:
+        raise ValueError(f"r must satisfy 1 <= r < dim M = {d}")
     rng = random.Random(seed)
     degree = max((g.degree() for g in P.gens if not g.is_zero()), default=0)
     if degree < 1:
@@ -167,33 +171,15 @@ def construct_reducing_part_in_prime(M, P, r, seed):
     J = M.ideal
     attempts = 0
     for i in range(1, r + 1):
-        threshold = d - i
-        chosen = None
-        last = None
         for _ in range(RETRIES):
             attempts += 1
             x = _random_element_of(P, degree, rng)
-            if x.is_zero():
-                continue
-            if threshold == 0:
-                # final element of a full sequence: only the dimension drop
-                dim = (J + (x,)).dim_quotient()
-                if dim == 0:
-                    chosen = x
-                    break
-                last = ViolationWitness(kind="not_system_of_parameters", dim=dim,
-                                        index=i, threshold=0)
-            else:
-                found, W = _assoc_dim_witness(x, J)
-                if found < threshold:
-                    chosen = x
-                    break
-                last = ViolationWitness(kind="associated_prime", dim=found,
-                                        index=i, threshold=threshold, ideal=W)
-        if chosen is None:
-            return ConstructionResult(False, None, attempts, last)
-        elems.append(chosen)
-        J = J + (chosen,)
+            if not x.is_zero() and _assoc_dim_witness(x, J) < d - i:
+                break
+        else:
+            return ConstructionResult(False, None, attempts)
+        elems.append(x)
+        J = J + (x,)
     xs = ParamSequence(M.ring, elems)
     if not is_reducing_sop(xs, M).ok:
         raise RuntimeError("stepwise construction failed the final verification")
@@ -211,12 +197,7 @@ def cm_membership_general(P, M, seed):
     dim R/P = 0 case (the irrelevant ideal) falls back to the exact depth
     oracle, where membership means M itself is Cohen-Macaulay.
     """
-    if not isinstance(P, Ideal):
-        raise TypeError("expected an Ideal asserted to be prime")
-    if P.ring != M.ring:
-        raise ValueError("ring mismatch")
-    if not P.is_homogeneous():
-        raise ValueError("P must be homogeneous")
+    _check_prime(P, M)
     if not P.is_proper():
         raise ValueError("P must be proper")
     d = M.d

@@ -7,13 +7,12 @@ quotients agree with those of the localization at the irrelevant ideal.
 
 The engine never enumerates associated primes of a general ideal.  The
 one question it needs, whether x lies in an associated prime of R/J of
-dimension at least t, is decided through the x-power torsion
-T = (J : x^inf)/J.  Its annihilator is W = (J : (J : x^inf)); Supp T is
-V(W); every associated prime of R/J containing x supports T, and every
-minimal prime of Supp T is an associated prime of R/J containing x.
-Hence
+dimension at least t, is decided through the x-power torsion T = S/J,
+S = (J : x^inf).  Its annihilator is W = (J : S); Supp T is V(W); every
+associated prime of R/J containing x supports T, and every minimal prime
+of Supp T is an associated prime of R/J containing x.  Hence
 
-    max{dim R/P : P in Ass R/J, x in P} = dim R/W,
+    max{dim R/P : P in Ass R/J, x in P} = dim R/W = dim T,
 
 with the convention -1 when x is a non-zero-divisor, i.e. when the
 torsion vanishes.
@@ -28,15 +27,19 @@ so x is a non-zero-divisor exactly when the Hilbert numerators satisfy
 N(J + x) = (1 - t^e) N(J).  Both are read off grevlex leading-term
 ideals, and the basis of J + x is the one the next cut needs anyway.
 Depth cuts, regular sequences, the last step of the Cohen-Macaulay test
-and the torsion question all ask this first; only a zero-divisor goes
-on to the saturation and W.  The verification suites pin the identity
-above against the combinatorial oracle on monomial input.
+and the torsion question all ask this first.  A zero-divisor goes on to
+the saturation S alone: HS(T) = HS(R/J) - HS(R/S) has numerator
+N(J) - N(S) over (1 - t)^n, and dim T is its pole order at t = 1.  W is
+built only for the witness a failed reducing check returns.  The
+verification suites pin the identity above against the combinatorial
+oracle on monomial input.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate, zip_longest
 
 from .groebner import Ideal
 from .monomial import (
@@ -52,10 +55,10 @@ from .poly import (
     monomials_of_degree,
 )
 
-# Random draws per search step; make_reducing tries the identity first,
-# then RETRIES transforms.
+# Random draws per degree in a search step; make_reducing tries the
+# identity first, then RETRIES transforms of a full sop.
 RETRIES = 32
-# Highest degree of the forms a depth level draws once its linear draws fail.
+# Highest degree of the forms a search step draws once its linear draws fail.
 CUT_DEGREE_CAP = 5
 
 
@@ -216,11 +219,10 @@ def max_assoc_dim_containing(x, N):
     """Largest dim R/P over associated primes P of N that contain x.
 
     Returns -1 when x is a non-zero-divisor on N.  See the module
-    docstring for why the torsion annihilator decides this.  x must be
+    docstring for why the torsion dimension decides this.  x must be
     homogeneous (HomogeneityError otherwise), as the Hilbert test needs.
     """
-    dim, _ = _assoc_dim_witness(x, N.ideal)
-    return dim
+    return _assoc_dim_witness(x, N.ideal)
 
 
 def _is_nzd(J, x, Jx):
@@ -237,10 +239,19 @@ def _is_nzd(J, x, Jx):
 
 
 def _assoc_dim_witness(x, J):
+    """Dimension of S/J, S = J : x^inf, as its pole order at t = 1; -1 for a non-zero-divisor."""
     if _is_nzd(J, x, J + (x,)):
-        return -1, None
-    W = J.quotient_ideal(J.saturation(x))
-    return W.dim_quotient(), W
+        return -1
+    n = J.ring.n
+    num = [a - b for a, b in zip_longest(hilbert_numerator(n, J.leading_exponents()),
+                                         hilbert_numerator(n, J.saturation(x).leading_exponents()),
+                                         fillvalue=0)]
+    if not any(num):
+        raise RuntimeError(f"{x} is a zero-divisor on R/({J}) but J : x^inf = J")
+    while not sum(num):  # num(1) = 0: divide by 1 - t, whose quotient has the partial sums
+        num = list(accumulate(num))[:-1]
+        n -= 1
+    return n
 
 
 def _monomial_prime_witness(J, x, dim):
@@ -264,16 +275,15 @@ def _reducing_violations(xs, M, upto):
     for i in range(1, upto + 1):
         x = xs[i - 1]
         threshold = d - i
-        found, W = _assoc_dim_witness(x, J)
+        found = _assoc_dim_witness(x, J)
         if found >= threshold:
-            prime = _monomial_prime_witness(J, x, found)
             return ViolationWitness(
                 kind="associated_prime",
                 dim=found,
                 index=i,
                 threshold=threshold,
-                ideal=W,
-                prime=prime,
+                ideal=J.quotient_ideal(J.saturation(x)),
+                prime=_monomial_prime_witness(J, x, found),
             )
         J = J + (x,)
     return None
@@ -386,16 +396,16 @@ def make_reducing(xs, M, seed):
 
     Applies verified random degree-preserving invertible transforms (the
     identity first), so the output generates the same ideal as the input.
-    For r < d a success therefore certifies the input itself as part of a
-    reducing system of parameters, and failure after the budget is the
-    expected outcome on negative instances: the operation doubles as an
-    equivalence probe.
+    A part (r < d) gets the identity only: by the paper's Theorem 1 it is
+    reducing when any same-ideal sequence is, so its failure is a verdict
+    with the checker's witness.  A full sop gets RETRIES transforms more.
     """
     if not is_part_of_sop(xs, M):
         raise ValueError("input is not part of a system of parameters")
     rng = random.Random(seed)
     best = None
-    for attempt in range(RETRIES + 1):
+    tries = RETRIES + 1 if xs.r == M.d else 1
+    for attempt in range(tries):
         ys = xs if attempt == 0 else _degree_block_transform(xs, rng)
         check = is_reducing_sop(ys, M)
         if check.ok:
@@ -403,11 +413,21 @@ def make_reducing(xs, M, seed):
                 raise RuntimeError("transform changed the generated ideal")
             return ConstructionResult(True, ys, attempt)
         best = _better(best, check.witness)
-    return ConstructionResult(False, None, RETRIES + 1, best)
+    return ConstructionResult(False, None, tries, best)
+
+
+def _ladder(ring, rng):
+    """RETRIES random forms of each degree 1..CUT_DEGREE_CAP, linear first.
+
+    Over a small field every linear form can fail where a higher degree
+    works (graded prime avoidance; Bruns & Herzog 1.5.12).
+    """
+    for draw in range(RETRIES * CUT_DEGREE_CAP):
+        yield random_homogeneous(ring, 1 + draw // RETRIES, rng)
 
 
 def random_sop(M, seed):
-    """Random system of parameters made of degree-one forms.
+    """Random system of parameters, each element drawn from the degree ladder.
 
     Each prefix is verified to drop the dimension by exactly one, so the
     returned sequence is a certified sop; deterministic per seed.
@@ -417,8 +437,7 @@ def random_sop(M, seed):
     J = M.ideal
     d = M.d
     for i in range(1, d + 1):
-        for _ in range(RETRIES):
-            x = random_homogeneous(M.ring, 1, rng)
+        for x in _ladder(M.ring, rng):
             K = J + (x,)
             if K.dim_quotient() == d - i:
                 elems.append(x)
@@ -432,18 +451,13 @@ def random_sop(M, seed):
 def depth_with_certificate(M, seed=0):
     """Depth of M together with the verified regular sequence it used.
 
-    Every cut is a non-zero-divisor verified by Hilbert series, so the
-    count is exact.  A level ends the search with depth 0 when R/J is
-    Artinian (dim 0, checked before any draw), or when its first draw is
-    a zero-divisor and the socle colon (J : m) != J finds a nonzero socle;
-    a nonzero socle makes every draw a zero-divisor, so drawing first
-    changes no answer.  Only non-Artinian depth-0 levels run a colon.
-
-    A level draws RETRIES linear forms, then RETRIES forms of each degree
-    2, 3, ... up to CUT_DEGREE_CAP: over a small field every linear form
-    can be a zero-divisor while positive depth still gives a homogeneous
-    non-zero-divisor in some degree (graded prime avoidance; Bruns &
-    Herzog 1.5.12).  A cut of any positive degree certifies the depth.
+    Every cut, a form from the degree ladder, is a non-zero-divisor
+    verified by Hilbert series, so the count is exact.  A level ends the
+    search with depth 0 when R/J is Artinian (dim 0, checked before any
+    draw), or when its first draw is a zero-divisor and the socle colon
+    (J : m) != J finds a nonzero socle; a nonzero socle makes every draw
+    a zero-divisor, so drawing first changes no answer.  Only
+    non-Artinian depth-0 levels run a colon.
     """
     rng = random.Random(seed)
     ring = M.ring
@@ -451,8 +465,7 @@ def depth_with_certificate(M, seed=0):
     J = M.ideal
     cuts = []
     while J.dim_quotient() > 0:
-        for draw in range(RETRIES * CUT_DEGREE_CAP):
-            x = random_homogeneous(ring, 1 + draw // RETRIES, rng)
+        for draw, x in enumerate(_ladder(ring, rng)):
             Jx = J + (x,)
             if _is_nzd(J, x, Jx):
                 J = Jx

@@ -109,9 +109,20 @@ def test_make_reducing_command():
     assert code2 == EXIT_OK and confirm["verdict"] is True
 
 
-def test_make_reducing_part_exhaustion_is_inconclusive():
+def test_make_reducing_failing_part_is_a_verdict():
     report, code = run(FIXTURE + "make-reducing Y\n", seed=5)
-    assert code == EXIT_INCONCLUSIVE and report["status"] == "inconclusive"
+    assert code == EXIT_OK and report["status"] == "ok"
+    assert report["verdict"] is False and report["attempts"] == 1
+    check, _ = run(FIXTURE + "is-part-reducing Y\n")
+    assert report["witness"] == check["witness"]
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_is_cm_over_gf2_draws_a_quadratic_parameter(seed):
+    # every linear form over GF(2) divides XY(X+Y): no linear parameter exists
+    report, code = run("ring [X,Y] p=2\nideal XY(X+Y)\nis-cm both\n", seed=seed)
+    assert code == EXIT_OK and report["verdict"] is True and report["agree"] is True
+    assert report["certificate"]["sop"] == ["X^2 + X*Y + Y^2"] and report["depth"] == 1
 
 
 def test_cm_member_inconclusive_exit_code():

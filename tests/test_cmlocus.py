@@ -11,6 +11,7 @@ from redsop import (
     construct_reducing_part_in_prime,
     is_reducing_sop,
 )
+from redsop.sop import RETRIES
 
 
 def prime(R, *names):
@@ -71,14 +72,14 @@ def test_construct_inside_good_prime(R, M):
 
 def test_construct_fails_inside_bad_prime(R, M):
     res = construct_reducing_part_in_prime(M, R.ideal("Y", "Z"), 1, seed=5)
-    assert not res.ok and res.witness.kind == "associated_prime"
+    assert not res.ok and res.sequence is None and res.attempts == RETRIES
 
 
-def test_construct_full_sop_in_irrelevant_ideal_of_cm_ring():
+def test_construct_part_in_irrelevant_ideal_of_cm_ring():
     ring = PolyRing(("X", "Y"))
     free = CyclicModule(Ideal(ring, ()))
-    res = construct_reducing_part_in_prime(free, ring.irrelevant_ideal(), 2, seed=6)
-    assert res.ok
+    res = construct_reducing_part_in_prime(free, ring.irrelevant_ideal(), 1, seed=6)
+    assert res.ok and is_reducing_sop(res.sequence, free).ok
 
 
 def test_construct_validates_input(R, M):
@@ -86,6 +87,8 @@ def test_construct_validates_input(R, M):
         construct_reducing_part_in_prime(M, R.ideal("Y"), 1, seed=1)  # Y does not contain I
     with pytest.raises(ValueError):
         construct_reducing_part_in_prime(M, R.ideal("X", "Y"), 0, seed=1)
+    with pytest.raises(ValueError):  # a full sop: cm_membership_general uses depth there
+        construct_reducing_part_in_prime(M, R.irrelevant_ideal(), M.d, seed=1)
 
 
 def test_general_membership_with_certificate(R, M):

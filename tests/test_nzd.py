@@ -4,7 +4,16 @@ import random
 
 import pytest
 
-from redsop import CyclicModule, Ideal, ParamSequence, Polynomial, PolyRing
+from redsop import (
+    CyclicModule,
+    Ideal,
+    ParamSequence,
+    Polynomial,
+    PolyRing,
+    construct_reducing_part_in_prime,
+    is_reducing_sop,
+    max_assoc_dim_containing,
+)
 from redsop.groebner import _monomial_ideal
 from redsop.session import run_block
 from redsop.sop import (
@@ -55,12 +64,9 @@ def _fixtures():
 
 
 def _saturate_first(x, J):
-    """The torsion question by saturation alone: (-1, None) when sat == J."""
+    """The torsion dimension through W = J : (J : x^inf): dim R/W, or -1 when J : x^inf = J."""
     sat = J.saturation(x)
-    if sat == J:
-        return -1, None
-    W = J.quotient_ideal(sat)
-    return W.dim_quotient(), W
+    return -1 if sat == J else J.quotient_ideal(sat).dim_quotient()
 
 
 def test_hilbert_test_agrees_with_the_colon_route():
@@ -69,10 +75,7 @@ def test_hilbert_test_agrees_with_the_colon_route():
         nzd = _is_nzd(J, x, J + (x,))
         assert nzd == (J.quotient(x) == J), (str(J), str(x))
         seen[nzd] += 1
-        dim, W = _assoc_dim_witness(x, J)
-        ref_dim, ref_W = _saturate_first(x, J)
-        assert dim == ref_dim, (str(J), str(x))
-        assert (W is None) == (ref_W is None) and (W is None or W == ref_W), (str(J), str(x))
+        assert _assoc_dim_witness(x, J) == _saturate_first(x, J), (str(J), str(x))
     assert seen[True] >= 20 and seen[False] >= 20, seen
 
 
@@ -116,3 +119,21 @@ def test_regular_sequence_needs_no_colon(no_colon):
 def test_non_cm_module_reaches_the_socle_test(no_colon, M):
     with pytest.raises(ColonCalled):
         depth_with_certificate(M, seed=5)
+
+
+@pytest.fixture
+def no_ideal_colon(monkeypatch):
+    def refuse(self, *args):
+        raise ColonCalled("a colon by an ideal ran")
+
+    monkeypatch.setattr(Ideal, "quotient_ideal", refuse)
+    monkeypatch.setattr(Ideal, "intersect", refuse)
+
+
+def test_avoidance_needs_no_ideal_colon(no_ideal_colon, R, M):
+    ring = PolyRing(("X", "Y", "Z", "W"))
+    N = CyclicModule(ring.ideal("X^2", "XY", "XZ"))  # Ass: (X) of dim 3, (X, Y, Z) of dim 1
+    assert max_assoc_dim_containing(ring.poly("Y+Z"), N) == 1
+    assert is_reducing_sop(ParamSequence.parse(ring, "Y+Z; W"), N).ok
+    assert construct_reducing_part_in_prime(M, R.ideal("X", "Y"), 1, seed=5).ok
+    assert not construct_reducing_part_in_prime(M, R.ideal("Y", "Z"), 1, seed=5).ok

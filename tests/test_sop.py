@@ -175,10 +175,12 @@ def test_make_reducing_part_identity(R, M):
 
 
 def test_make_reducing_part_fails_on_obstructed_element(R, M):
-    # every scalar multiple of Y stays inside the bad associated prime
+    # no sequence generating (Y) is reducing (the paper's Theorem 1), so the
+    # identity is the one attempt
     res = make_reducing(seq(R, "Y"), M, seed=9)
-    assert not res.ok
-    assert res.witness is not None and res.witness.kind == "associated_prime"
+    assert not res.ok and res.attempts == 1
+    assert res.witness.kind == "associated_prime"
+    assert res.witness == is_reducing_sop(seq(R, "Y"), M).witness
 
 
 def test_make_reducing_part_on_free_module():

@@ -264,7 +264,7 @@ class _TagOrder:
 class Ideal:
     """Finitely generated ideal of a :class:`PolyRing` with a basis cache."""
 
-    __slots__ = ("ring", "gens", "_gb", "_mono")
+    __slots__ = ("ring", "gens", "_gb", "_mono", "_hilb")
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -280,6 +280,7 @@ class Ideal:
         self.gens = tuple(polys)
         self._gb = {}
         self._mono = -1  # not computed yet
+        self._hilb = None  # Hilbert numerator, not computed yet
 
     # -- bases ----------------------------------------------------------
 
@@ -346,6 +347,17 @@ class Ideal:
         if exps is None:
             exps = [g.leading_monomial() for g in self.groebner_basis()]
         return exps
+
+    def hilbert_numerator(self):
+        """Numerator N of HS(R/J) = N(t) / (1 - t)^n, computed once per ideal.
+
+        :func:`monomial.hilbert_numerator` of :meth:`leading_exponents`.
+        """
+        if self._hilb is None:
+            from .monomial import hilbert_numerator
+
+            self._hilb = hilbert_numerator(self.ring.n, self.leading_exponents())
+        return self._hilb
 
     # -- comparisons ------------------------------------------------------
 

@@ -7,32 +7,38 @@ quotients agree with those of the localization at the irrelevant ideal.
 
 The engine never enumerates associated primes of a general ideal.  The
 one question it needs, whether x lies in an associated prime of R/J of
-dimension at least t, is decided through the x-power torsion T = S/J,
-S = (J : x^inf).  Its annihilator is W = (J : S); Supp T is V(W); every
-associated prime of R/J containing x supports T, and every minimal prime
-of Supp T is an associated prime of R/J containing x.  Hence
+dimension at least t, is decided through the kernel K = (0 :_{R/J} x)
+= (J : x)/J of multiplication by x.  K is Hom(R/(x), R/J), and
+Ass Hom(N, M) = Supp N cap Ass M (Bruns & Herzog, Cohen-Macaulay Rings,
+ch. 1), so Ass K is the set of associated primes of R/J containing x:
 
-    max{dim R/P : P in Ass R/J, x in P} = dim R/W = dim T,
+    max{dim R/P : P in Ass R/J, x in P} = dim K,
 
-with the convention -1 when x is a non-zero-divisor, i.e. when the
-torsion vanishes.
+with the convention -1 when x is a non-zero-divisor, i.e. when K
+vanishes.  The x-power torsion T = S/J, S = (J : x^inf), has the same
+associated primes and the same dimension; its annihilator W = (J : S)
+is built only for the witness a failed reducing check returns.
 
-Whether x is a non-zero-divisor on R/J is decided without a colon, by
-Hilbert series: for homogeneous J and x of degree e the exact sequence
+K is read off Hilbert series, with no colon.  For homogeneous J and x
+of degree e the exact sequence
 
-    0 -> R/(J : x)(-e) -> R/J -> R/(J + x) -> 0
+    0 -> K(-e) -> (R/J)(-e) -> R/J -> R/(J + x) -> 0
 
-gives HS(R/(J + x)) = HS(R/J) - t^e HS(R/(J : x)), and J : x contains J,
-so x is a non-zero-divisor exactly when the Hilbert numerators satisfy
-N(J + x) = (1 - t^e) N(J).  Both are read off grevlex leading-term
-ideals, and the basis of J + x is the one the next cut needs anyway.
-Depth cuts, regular sequences, the last step of the Cohen-Macaulay test
-and the torsion question all ask this first.  A zero-divisor goes on to
-the saturation S alone: HS(T) = HS(R/J) - HS(R/S) has numerator
-N(J) - N(S) over (1 - t)^n, and dim T is its pole order at t = 1.  W is
-built only for the witness a failed reducing check returns.  The
-verification suites pin the identity above against the combinatorial
-oracle on monomial input.
+gives t^e HS(K) = HS(R/(J + x)) - (1 - t^e) HS(R/J).  Over (1 - t)^n the
+right side has numerator N(J + x) - (1 - t^e) N(J), so x is a
+non-zero-divisor exactly when N(J + x) = (1 - t^e) N(J), and otherwise
+dim K is the pole order of that numerator at t = 1.  Each numerator is
+read off a grevlex leading-term ideal once per ideal, and the basis of
+J + x is the one the next cut needs anyway.  Depth cuts, regular
+sequences, the last step of the Cohen-Macaulay test and the avoidance
+question all read this kernel series.
+
+A depth level whose first draw x is a zero-divisor runs one colon,
+Q = J : x: when (1 - t)^n divides N(J) - N(Q), the kernel Q/J is a
+nonzero module of finite length, its one associated prime m is
+associated to R/J, and the depth is 0.  Only where that test fails does
+the socle colon (J : m) != J decide.  The verification suites pin these
+identities against the combinatorial oracle on monomial input.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ from .groebner import Ideal
 from .monomial import (
     _rank,
     ass_monomial,
-    hilbert_numerator,
     member_of_monomial_prime,
     times_one_minus,
 )
@@ -219,39 +224,71 @@ def max_assoc_dim_containing(x, N):
     """Largest dim R/P over associated primes P of N that contain x.
 
     Returns -1 when x is a non-zero-divisor on N.  See the module
-    docstring for why the torsion dimension decides this.  x must be
-    homogeneous (HomogeneityError otherwise), as the Hilbert test needs.
+    docstring for why the dimension of the kernel of x decides this.  x
+    must be homogeneous (HomogeneityError otherwise), as the Hilbert
+    test needs.
     """
     return _assoc_dim_witness(x, N.ideal)
+
+
+def _difference(a, b):
+    """The coefficient list of a(t) - b(t)."""
+    return [u - v for u, v in zip_longest(a, b, fillvalue=0)]
+
+
+def _pole_order(n, num):
+    """Order of the pole of num(t) / (1 - t)^n at t = 1, for a nonzero num.
+
+    n minus the multiplicity of t = 1 as a root of num.  For the Hilbert
+    series of a nonzero graded module this is its dimension, and 0
+    exactly when the module has finite length (Bruns & Herzog 4.1).
+    """
+    if not any(num):
+        raise ValueError("the zero series has no pole")
+    while not sum(num):  # num(1) = 0: divide by 1 - t, whose quotient has the partial sums
+        num = list(accumulate(num))[:-1]
+        n -= 1
+    return n
+
+
+def _kernel_numerator(J, x, Jx):
+    """N(Jx) - (1 - t^e) N(J): t^e times the numerator of HS(0 :_{R/J} x), e = deg x.
+
+    Jx is J + (x), and x must be homogeneous (see the module docstring).
+    """
+    if not x.is_homogeneous():
+        raise HomogeneityError(f"{x} is not homogeneous")
+    return _difference(Jx.hilbert_numerator(),
+                       times_one_minus(J.hilbert_numerator(), x.degree()))
 
 
 def _is_nzd(J, x, Jx):
     """Whether homogeneous x is a non-zero-divisor on R/J, given Jx = J + (x).
 
-    Compares the Hilbert numerators of the leading-term ideals: x is one
-    exactly when N(Jx) = (1 - t^deg x) N(J) (see the module docstring).
+    Exactly when the kernel of x on R/J has Hilbert numerator zero, that
+    is N(Jx) = (1 - t^deg x) N(J) (see the module docstring).
     """
-    if not x.is_homogeneous():
-        raise HomogeneityError(f"{x} is not homogeneous")
-    n = J.ring.n
-    return (hilbert_numerator(n, Jx.leading_exponents())
-            == tuple(times_one_minus(hilbert_numerator(n, J.leading_exponents()), x.degree())))
+    return not any(_kernel_numerator(J, x, Jx))
 
 
 def _assoc_dim_witness(x, J):
-    """Dimension of S/J, S = J : x^inf, as its pole order at t = 1; -1 for a non-zero-divisor."""
-    if _is_nzd(J, x, J + (x,)):
-        return -1
-    n = J.ring.n
-    num = [a - b for a, b in zip_longest(hilbert_numerator(n, J.leading_exponents()),
-                                         hilbert_numerator(n, J.saturation(x).leading_exponents()),
-                                         fillvalue=0)]
-    if not any(num):
-        raise RuntimeError(f"{x} is a zero-divisor on R/({J}) but J : x^inf = J")
-    while not sum(num):  # num(1) = 0: divide by 1 - t, whose quotient has the partial sums
-        num = list(accumulate(num))[:-1]
-        n -= 1
-    return n
+    """Dimension of (0 :_{R/J} x), its pole order at t = 1; -1 for a non-zero-divisor."""
+    num = _kernel_numerator(J, x, J + (x,))
+    return _pole_order(J.ring.n, num) if any(num) else -1
+
+
+def _has_depth_zero(J, x):
+    """Whether the irrelevant ideal m is associated to R/J, given a zero-divisor x on it.
+
+    The kernel (J : x)/J of x is nonzero, and its associated primes are
+    the associated primes of R/J that contain x.  When it has finite
+    length, that is (1 - t)^n divides N(J) - N(J : x), they are {m}.
+    Otherwise the socle colon (J : m) != J decides.
+    """
+    kernel = _difference(J.hilbert_numerator(), J.quotient(x).hilbert_numerator())
+    if _pole_order(J.ring.n, kernel) == 0:
+        return True
+    return J.quotient_ideal(J.ring.irrelevant_ideal()) != J
 
 
 def _monomial_prime_witness(J, x, dim):
@@ -454,14 +491,16 @@ def depth_with_certificate(M, seed=0):
     Every cut, a form from the degree ladder, is a non-zero-divisor
     verified by Hilbert series, so the count is exact.  A level ends the
     search with depth 0 when R/J is Artinian (dim 0, checked before any
-    draw), or when its first draw is a zero-divisor and the socle colon
-    (J : m) != J finds a nonzero socle; a nonzero socle makes every draw
-    a zero-divisor, so drawing first changes no answer.  Only
-    non-Artinian depth-0 levels run a colon.
+    draw), or when its first draw x is a zero-divisor and m is
+    associated to R/J: either the kernel (J : x)/J has finite length,
+    read off the Hilbert series of the one colon J : x, or, as the
+    fallback, the socle colon (J : m) != J finds a nonzero socle.  A
+    nonzero socle makes every draw a zero-divisor, so drawing first
+    changes no answer.  Only a level whose first draw is a zero-divisor
+    runs a colon, and a generic linear form is one only at depth 0.
     """
     rng = random.Random(seed)
     ring = M.ring
-    m_ideal = ring.irrelevant_ideal()
     J = M.ideal
     cuts = []
     while J.dim_quotient() > 0:
@@ -471,7 +510,7 @@ def depth_with_certificate(M, seed=0):
                 J = Jx
                 cuts.append(x)
                 break
-            if draw == 0 and J.quotient_ideal(m_ideal) != J:
+            if draw == 0 and _has_depth_zero(J, x):
                 return len(cuts), cuts
         else:
             raise RetryBudgetError(f"no non-zero-divisor found at depth {len(cuts)}")

@@ -1,5 +1,7 @@
-"""Non-zero-divisors by Hilbert series, checked against the colon route."""
+"""Non-zero-divisors by Hilbert series, checked against the colon route,
+and the one-colon depth-0 certificate against the socle colon."""
 
+import itertools
 import random
 
 import pytest
@@ -13,11 +15,15 @@ from redsop import (
     construct_reducing_part_in_prime,
     is_reducing_sop,
     max_assoc_dim_containing,
+    monomial,
+    sop,
 )
+from redsop.corpus import module_stream
 from redsop.groebner import _monomial_ideal
 from redsop.session import run_block
 from redsop.sop import (
     _assoc_dim_witness,
+    _has_depth_zero,
     _is_nzd,
     _random_invertible,
     depth_with_certificate,
@@ -116,6 +122,20 @@ def test_regular_sequence_needs_no_colon(no_colon):
     assert not is_regular_sequence(ParamSequence.parse(R, "X; Z"), M)
 
 
+def test_each_ideal_computes_its_numerator_once(monkeypatch):
+    ran = []
+    numerator = monomial.hilbert_numerator
+
+    def counted(n, exps):
+        ran.append(exps)
+        return numerator(n, exps)
+
+    monkeypatch.setattr(monomial, "hilbert_numerator", counted)
+    R = PolyRing(("X", "Y", "Z"))
+    assert is_regular_sequence(ParamSequence.parse(R, "X+Y; Z"), CyclicModule(R.ideal("XY")))
+    assert len(ran) == 3  # (XY), (XY, X+Y) and (XY, X+Y, Z), each once
+
+
 def test_non_cm_module_reaches_the_socle_test(no_colon, M):
     with pytest.raises(ColonCalled):
         depth_with_certificate(M, seed=5)
@@ -137,3 +157,45 @@ def test_avoidance_needs_no_ideal_colon(no_ideal_colon, R, M):
     assert is_reducing_sop(ParamSequence.parse(ring, "Y+Z; W"), N).ok
     assert construct_reducing_part_in_prime(M, R.ideal("X", "Y"), 1, seed=5).ok
     assert not construct_reducing_part_in_prime(M, R.ideal("Y", "Z"), 1, seed=5).ok
+
+
+def test_generic_non_cm_level_needs_no_ideal_colon(no_ideal_colon, M):
+    depth, cuts = depth_with_certificate(M, seed=5)
+    assert depth == 1 and len(cuts) == 1
+
+
+@pytest.fixture
+def socle_colons(monkeypatch):
+    """A list that gains one entry per socle colon (J : m) run."""
+    ran = []
+    colon = Ideal.quotient_ideal
+
+    def counted(self, other):
+        ran.append(str(self))
+        return colon(self, other)
+
+    monkeypatch.setattr(Ideal, "quotient_ideal", counted)
+    return ran
+
+
+def test_depth_certificate_agrees_with_the_socle_route(socle_colons, monkeypatch):
+    def socle_only(J, x):
+        return J.quotient_ideal(J.ring.irrelevant_ideal()) != J
+
+    inputs = [(M, rng.getrandbits(32)) for p in (32003, 3, 2)
+              for M, rng in itertools.islice(module_stream(p, p=p), 40)]
+    new = [depth_with_certificate(M, seed) for M, seed in inputs]
+    fallbacks = len(socle_colons)
+    monkeypatch.setattr(sop, "_has_depth_zero", socle_only)
+    old = [depth_with_certificate(M, seed) for M, seed in inputs]
+    assert new == old
+    assert 0 < fallbacks < len(socle_colons), (fallbacks, len(socle_colons))
+
+
+def test_socle_fallback_when_the_kernel_has_infinite_length(socle_colons):
+    R = PolyRing(("X", "Y", "Z"))
+    J = R.ideal("X^2", "XY", "Z")  # (J : X)/J holds every power of Y; X spans the socle
+    X = R.poly("X")
+    assert _assoc_dim_witness(X, J) == 1
+    assert _has_depth_zero(J, X)
+    assert socle_colons == [str(J)]

@@ -370,16 +370,9 @@ class Ideal:
 
     __hash__ = None
 
-    def __add__(self, other):
-        if isinstance(other, Ideal):
-            if other.ring != self.ring:
-                raise ValueError("ring mismatch")
-            extra = other.gens
-        elif isinstance(other, Polynomial):
-            extra = (other,)
-        else:
-            extra = tuple(other)
-        return Ideal(self.ring, self.gens + tuple(extra))
+    def __add__(self, gens):
+        """J + (g1, ..., gk) for an iterable of generators of the same ring."""
+        return Ideal(self.ring, self.gens + tuple(gens))
 
     # -- ideal operations --------------------------------------------------
 

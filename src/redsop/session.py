@@ -263,19 +263,10 @@ def _resolve_prime(session, arg):
 
 def _as_monomial_prime(P):
     """Reinterpret an ideal generated by variables as a monomial prime."""
-    names = set()
-    for g in P.gens:
-        if g.is_zero():
-            continue
-        if len(g.terms) != 1:
-            return None
-        (m, _), = g.terms.items()
-        if sum(m) != 1:
-            return None
-        names.add(P.ring.var_names[m.index(1)])
-    if not names:
+    exps = P.monomial_exponents()
+    if not exps or any(sum(m) != 1 for m in exps):
         return None
-    return MonomialPrime(P.ring, frozenset(names))
+    return MonomialPrime(P.ring, frozenset(P.ring.var_names[m.index(1)] for m in exps))
 
 
 def _module(session):
@@ -292,7 +283,8 @@ def check_theorems(report, suites, options, seed):
     ``options`` holds (name, value) pairs for ``count``, ``vars``,
     ``max-gens``, ``max-degree`` (each at most BOUND_LIMIT) and
     ``squarefree``, values as text or int.  Bad names or options raise
-    ValueError before any suite runs.
+    ValueError before any suite runs, and so does a ``vars`` whose
+    largest value leaves a selected suite no module of its ``min_dim``.
     Adds the ``suites`` and ``passed`` fields and returns the exit code.
     """
     names = _comma_list(suites)
@@ -323,6 +315,12 @@ def check_theorems(report, suites, options, seed):
     for name in names:
         if name != "all" and name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
+    if "n_values" in opts:  # dim M <= n - 1, so a suite needs n > min_dim
+        for name in SUITES if not names or "all" in names else names:
+            min_dim = SUITES[name][2]
+            if max(opts["n_values"]) <= min_dim:
+                raise ValueError(f"suite {name!r} draws modules of dimension at least "
+                                 f"{min_dim}, so vars needs a value above {min_dim}")
     results = run_suites(names, seed, count, **opts)
     report["suites"] = [r.to_dict() for r in results]
     report["passed"] = all(r.passed for r in results)

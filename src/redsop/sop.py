@@ -228,7 +228,7 @@ def max_assoc_dim_containing(x, N):
     must be homogeneous (HomogeneityError otherwise), as the Hilbert
     test needs.
     """
-    return _assoc_dim_witness(x, N.ideal)
+    return _assoc_dim_witness(N.ideal, x, N.ideal + (x,))
 
 
 def _difference(a, b):
@@ -271,9 +271,9 @@ def _is_nzd(J, x, Jx):
     return not any(_kernel_numerator(J, x, Jx))
 
 
-def _assoc_dim_witness(x, J):
-    """Dimension of (0 :_{R/J} x), its pole order at t = 1; -1 for a non-zero-divisor."""
-    num = _kernel_numerator(J, x, J + (x,))
+def _assoc_dim_witness(J, x, Jx):
+    """dim (0 :_{R/J} x) given Jx = J + (x): its pole order at t = 1, -1 for a non-zero-divisor."""
+    num = _kernel_numerator(J, x, Jx)
     return _pole_order(J.ring.n, num) if any(num) else -1
 
 
@@ -312,7 +312,8 @@ def _reducing_violations(xs, M, upto):
     for i in range(1, upto + 1):
         x = xs[i - 1]
         threshold = d - i
-        found = _assoc_dim_witness(x, J)
+        Jx = J + (x,)
+        found = _assoc_dim_witness(J, x, Jx)
         if found >= threshold:
             return ViolationWitness(
                 kind="associated_prime",
@@ -322,7 +323,7 @@ def _reducing_violations(xs, M, upto):
                 ideal=J.quotient_ideal(J.saturation(x)),
                 prime=_monomial_prime_witness(J, x, found),
             )
-        J = J + (x,)
+        J = Jx
     return None
 
 
@@ -436,9 +437,9 @@ def make_reducing(xs, M, seed):
     A part (r < d) gets the identity only: by the paper's Theorem 1 it is
     reducing when any same-ideal sequence is, so its failure is a verdict
     with the checker's witness.  A full sop gets RETRIES transforms more.
+    The identity's check also decides sop-ness (ValueError otherwise), and
+    only a transform that passes is compared with the input's ideal.
     """
-    if not is_part_of_sop(xs, M):
-        raise ValueError("input is not part of a system of parameters")
     rng = random.Random(seed)
     best = None
     tries = RETRIES + 1 if xs.r == M.d else 1
@@ -446,9 +447,11 @@ def make_reducing(xs, M, seed):
         ys = xs if attempt == 0 else _degree_block_transform(xs, rng)
         check = is_reducing_sop(ys, M)
         if check.ok:
-            if Ideal(M.ring, ys.elems) != Ideal(M.ring, xs.elems):
+            if attempt and Ideal(M.ring, ys.elems) != Ideal(M.ring, xs.elems):
                 raise RuntimeError("transform changed the generated ideal")
             return ConstructionResult(True, ys, attempt)
+        if check.witness.kind == "not_system_of_parameters":
+            raise ValueError("input is not part of a system of parameters")
         best = _better(best, check.witness)
     return ConstructionResult(False, None, tries, best)
 

@@ -141,11 +141,6 @@ def _spoly_of(f, g):
     return mf * f - mg * g
 
 
-def _quotient_generic(J, f):
-    """The engine's tag-variable colon route, bypassing the monomial shortcut."""
-    return J._tag_colon(f, saturate=False)
-
-
 def _saturation_iterated(J, f):
     """Saturation as the stable value of the colon chain J, (J:f), ((J:f):f), ..."""
     while True:
@@ -202,9 +197,9 @@ def suite_kernel(res, master, count, **opts):
                                          for P in ass_monomial(J))),
                    lambda: _fixture_detail(M, law="colon detects zero-divisors", f=f))
 
-        # monomial colon shortcut agrees with the generic tag route
+        # monomial colon shortcut agrees with the engine's tag route
         m = Polynomial(ring, {random_monomial(rng, ring.n, 2): 1})
-        res.record(J.quotient(m) == _quotient_generic(J, m),
+        res.record(J.quotient(m) == J._tag_colon(m, saturate=False),
                    lambda: _fixture_detail(M, law="colon route agreement", f=m))
 
         # intersection against the combinatorial oracle
@@ -314,7 +309,7 @@ def _literal_reducing(M, xs):
 
 
 def suite_reducing_literal(res, master, count, **opts):
-    stream = module_stream(_sub_seed(master), min_dim=1, **opts)
+    stream = module_stream(_sub_seed(master), **opts)
     while res.instances < count:
         M, rng = next(stream)
         candidates = []
@@ -354,7 +349,7 @@ def suite_cm_equivalence(res, master, count, **opts):
 # regular sequences vs sops vs reducing parts
 
 def suite_cm_regular(res, master, count, **opts):
-    stream = module_stream(_sub_seed(master), min_dim=1, **opts)
+    stream = module_stream(_sub_seed(master), **opts)
     for _ in range(count):
         M, rng = next(stream)
         res.instances += 1
@@ -416,7 +411,7 @@ def suite_permutation(res, master, count, **opts):
     res.record(not fwd.ok and rev.ok,
                lambda: _fixture_detail(M16, law="full-length order dependence"))
 
-    stream = module_stream(_sub_seed(master), min_dim=2, **opts)
+    stream = module_stream(_sub_seed(master), **opts)
     while res.instances < count + 1:
         M, rng = next(stream)
         for xs in _sampled_reducing_parts(M, rng):
@@ -435,7 +430,7 @@ def suite_permutation(res, master, count, **opts):
 # reducing parts vs localized Cohen-Macaulay points (r < d)
 
 def suite_local_cm(res, master, count, **opts):
-    stream = module_stream(_sub_seed(master), min_dim=2, **opts)
+    stream = module_stream(_sub_seed(master), **opts)
     while res.instances < count:
         M, rng = next(stream)
         r = rng.randint(1, M.d - 1)
@@ -470,7 +465,7 @@ def suite_local_cm(res, master, count, **opts):
 # localization stability of (reducing) parts at good monomial primes
 
 def suite_localization(res, master, count, **opts):
-    stream = module_stream(_sub_seed(master), min_dim=1, **opts)
+    stream = module_stream(_sub_seed(master), **opts)
     while res.instances < count:
         M, rng = next(stream)
         r = rng.randint(1, M.d)
@@ -535,7 +530,7 @@ def suite_zero_divisor(res, master, count, **opts):
 # support containment transfers part-of-sop downwards
 
 def suite_support_containment(res, master, count, **opts):
-    stream = module_stream(_sub_seed(master), min_dim=1, **opts)
+    stream = module_stream(_sub_seed(master), **opts)
     while res.instances < count:
         M, rng = next(stream)
         ring = M.ring
@@ -645,7 +640,7 @@ def suite_locus_roundtrip(res, master, count, **opts):
 # constructor postconditions and determinism
 
 def suite_construction(res, master, count, **opts):
-    stream = module_stream(_sub_seed(master), min_dim=1, **opts)
+    stream = module_stream(_sub_seed(master), **opts)
     for _ in range(count):
         M, rng = next(stream)
         res.instances += 1
@@ -667,22 +662,22 @@ def suite_construction(res, master, count, **opts):
                        lambda: _fixture_detail(M, seq=ys, law="make_reducing determinism"))
 
 
-# name -> (suite function, default instance count)
+# name -> (suite function, default instance count, least dim M it draws)
 SUITES = {
-    "kernel": (suite_kernel, 200),
-    "oracle": (suite_oracle, 200),
-    "dimension-filter": (suite_dimension_filter, 200),
-    "reducing-literal": (suite_reducing_literal, 100),
-    "cm-equivalence": (suite_cm_equivalence, 200),
-    "cm-regular": (suite_cm_regular, 60),
-    "permutation": (suite_permutation, 100),
-    "local-cm": (suite_local_cm, 100),
-    "localization": (suite_localization, 100),
-    "zero-divisor": (suite_zero_divisor, 100),
-    "support-containment": (suite_support_containment, 100),
-    "locus-identities": (suite_locus_identities, 100),
-    "locus-roundtrip": (suite_locus_roundtrip, 50),
-    "construction": (suite_construction, 60),
+    "kernel": (suite_kernel, 200, 0),
+    "oracle": (suite_oracle, 200, 0),
+    "dimension-filter": (suite_dimension_filter, 200, 0),
+    "reducing-literal": (suite_reducing_literal, 100, 1),
+    "cm-equivalence": (suite_cm_equivalence, 200, 0),
+    "cm-regular": (suite_cm_regular, 60, 1),
+    "permutation": (suite_permutation, 100, 2),
+    "local-cm": (suite_local_cm, 100, 2),
+    "localization": (suite_localization, 100, 1),
+    "zero-divisor": (suite_zero_divisor, 100, 0),
+    "support-containment": (suite_support_containment, 100, 1),
+    "locus-identities": (suite_locus_identities, 100, 0),
+    "locus-roundtrip": (suite_locus_roundtrip, 50, 0),
+    "construction": (suite_construction, 60, 1),
 }
 
 
@@ -690,7 +685,8 @@ def run_suites(names, seed, count=None, **opts):
     """Run the named suites (or all) with per-suite derived seeds.
 
     Each suite function fills in the SuiteResult it is given, drawing
-    from a master generator seeded per suite name.
+    from a master generator seeded per suite name, and modules of at
+    least the suite's min_dim.
     """
     if not names or names == ["all"]:
         names = list(SUITES)
@@ -698,9 +694,9 @@ def run_suites(names, seed, count=None, **opts):
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
-        fn, default_count = SUITES[name]
+        fn, default_count, min_dim = SUITES[name]
         res = SuiteResult(name)
         master = random.Random(random.Random(f"{seed}:{name}").getrandbits(64))
-        fn(res, master, default_count if count is None else count, **opts)
+        fn(res, master, default_count if count is None else count, min_dim=min_dim, **opts)
         results.append(res)
     return results

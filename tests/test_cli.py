@@ -8,12 +8,14 @@ import time
 
 import pytest
 
+from redsop import Ideal
 from redsop.corpus import CorpusSpec, default_ring
 from redsop.session import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,
     EXIT_OK,
     SessionError,
+    _as_monomial_prime,
     corpus_report,
     generate_corpus,
     parse_session,
@@ -401,6 +403,46 @@ def test_check_theorems_rejects_too_many_variables():
     report, code = run("check-theorems dimension-filter count=2 vars=2,9\n")
     assert code == EXIT_INPUT_ERROR and report["status"] == "input_error"
     assert "[1, 8]" in report["error"]
+
+
+# A suite draws modules of dim M >= its min_dim, and a proper monomial
+# ideal in n variables has dim M <= n - 1: these selections drew forever.
+@pytest.mark.parametrize("argv", [
+    ["check", "--suites", "permutation", "--vars", "2", "--count", "1"],
+    ["check", "--suites", "local-cm", "--vars", "2", "--count", "1"],
+    ["check", "--suites", "construction", "--vars", "1", "--count", "1"],
+    ["run", "-e", "check-theorems reducing-literal count=1 vars=1\n"],
+], ids=["permutation", "local-cm", "construction", "session"])
+def test_vars_too_small_for_a_suite_are_refused_at_once(argv, capsys, monkeypatch):
+    from redsop.cli import main
+
+    monkeypatch.delenv("REDSOP_SEED", raising=False)
+    start = time.monotonic()
+    assert main(argv) == EXIT_INPUT_ERROR
+    assert time.monotonic() - start < 1.0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "input_error" and "suites" not in report
+    assert "dimension at least" in report["error"]
+
+
+@pytest.mark.parametrize("suite, n_values", [("permutation", "3"), ("local-cm", "1,3"),
+                                             ("construction", "2")])
+def test_one_large_enough_ring_size_runs(suite, n_values, capsys, monkeypatch):
+    from redsop.cli import main
+
+    monkeypatch.delenv("REDSOP_SEED", raising=False)
+    assert main(["check", "--suites", suite, "--vars", n_values, "--count", "1"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+@pytest.mark.parametrize("gens, names", [
+    ((), None), (("0",), None), (("2X",), {"X"}), (("X^2",), None),
+    (("X+Y",), None), (("1",), None), (("X", "0", "Z"), {"X", "Z"}),
+])
+def test_as_monomial_prime_edge_cases(gens, names):
+    R = default_ring(3)
+    P = _as_monomial_prime(Ideal(R, gens))
+    assert (None if P is None else set(P.vars)) == names
 
 
 def test_check_theorems_rejects_non_positive_count():

@@ -1,5 +1,6 @@
-"""Every name a redsop module imports is used in that module, and every
-module-level definition is referenced somewhere in src, tests or bench."""
+"""Every name a redsop module imports is used in that module, every
+module-level definition is referenced somewhere in src, tests or bench,
+and so is every method or property of a redsop class."""
 
 import ast
 import pathlib
@@ -48,6 +49,12 @@ def _defined(stmt):
     return set()
 
 
+def _is_dotted_name(node):
+    """A string constant spelling a name or a dotted path of names."""
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.replace(".", "_").isidentifier())
+
+
 def references(sources):
     """Names read, imported or spelled as a dotted string outside their own definition."""
     used = set()
@@ -61,8 +68,7 @@ def references(sources):
                     names = {node.attr}
                 elif isinstance(node, ast.alias):
                     names = {node.name.split(".")[-1]}
-                elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                      and node.value.replace(".", "_").isidentifier()):
+                elif _is_dotted_name(node):
                     names = set(node.value.split("."))  # monkeypatch targets, traced spans
                 else:
                     continue
@@ -87,3 +93,50 @@ def test_no_dead_definitions():
                for p in sorted((ROOT / top).rglob("*.py"))]
     modules = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert dead_definitions(modules, sources) == []
+
+
+def attribute_reads(sources):
+    """Names read as an attribute or spelled in a dotted string, outside a def of that name."""
+    used = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used.update({node.attr} - inside)
+        elif _is_dotted_name(node):
+            used.update(set(node.value.split(".")) - inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for source in sources:
+        visit(ast.parse(source), frozenset())
+    return used
+
+
+def dead_methods(module_sources, all_sources):
+    """Class.method for each non-dunder method or property of a module-level class that nothing reads."""
+    used = attribute_reads(all_sources)
+    return sorted(f"{cls.name}.{fn.name}" for source in module_sources
+                  for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                  and fn.name not in used)
+
+
+def test_detector_sees_dead_methods():
+    module = ("class A:\n"
+              "    def __eq__(self, other):\n        return True\n"
+              "    def kept(self):\n        return self.kept()\n"
+              "    def _dead(self):\n        return self._dead()\n"
+              "    @property\n    def size(self):\n        return 1\n"
+              "    def traced(self):\n        return 2\n")
+    caller = "A().kept()\nA().size\nwrap('m.A.traced')\n"
+    assert dead_methods([module], [module, caller]) == ["A._dead"]
+
+
+def test_no_dead_methods():
+    sources = [p.read_text() for top in ("src", "tests", "bench")
+               for p in sorted((ROOT / top).rglob("*.py"))]
+    modules = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert dead_methods(modules, sources) == []

@@ -21,12 +21,14 @@ from redsop import (
 from redsop.corpus import module_stream
 from redsop.groebner import _monomial_ideal
 from redsop.session import run_block
+from redsop.suites import run_suites
 from redsop.sop import (
     _assoc_dim_witness,
     _has_depth_zero,
     _is_nzd,
     _random_invertible,
     depth_with_certificate,
+    is_cm_reducing,
     is_regular_sequence,
     random_homogeneous,
 )
@@ -81,7 +83,7 @@ def test_hilbert_test_agrees_with_the_colon_route():
         nzd = _is_nzd(J, x, J + (x,))
         assert nzd == (J.quotient(x) == J), (str(J), str(x))
         seen[nzd] += 1
-        assert _assoc_dim_witness(x, J) == _saturate_first(x, J), (str(J), str(x))
+        assert _assoc_dim_witness(J, x, J + (x,)) == _saturate_first(x, J), (str(J), str(x))
     assert seen[True] >= 20 and seen[False] >= 20, seen
 
 
@@ -196,6 +198,51 @@ def test_socle_fallback_when_the_kernel_has_infinite_length(socle_colons):
     R = PolyRing(("X", "Y", "Z"))
     J = R.ideal("X^2", "XY", "Z")  # (J : X)/J holds every power of Y; X spans the socle
     X = R.poly("X")
-    assert _assoc_dim_witness(X, J) == 1
+    assert _assoc_dim_witness(J, X, J + (X,)) == 1
     assert _has_depth_zero(J, X)
     assert socle_colons == [str(J)]
+
+
+# --- small prime fields, where every linear form can be a zero-divisor ------
+
+def _all_linear_forms_product(ring):
+    """The product of one representative of each linear form up to scalars."""
+    f = ring.one
+    for coeffs in itertools.product(range(ring.p), repeat=ring.n):
+        nonzero = [c for c in coeffs if c]
+        if nonzero and nonzero[0] == 1:
+            f = f * sum((v.scale(c) for c, v in zip(coeffs, ring.gens())), ring.zero)
+    return f
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("p, n, degree", [(2, 2, 3), (3, 2, 4), (2, 3, 7), (3, 3, 13)],
+                         ids=["gf2-2", "gf3-2", "gf2-3", "gf3-3"])
+def test_product_of_all_linear_forms_is_cohen_macaulay(p, n, degree, seed, socle_colons):
+    # R/(f) is a hypersurface, so CM of depth n - 1, yet every linear form divides f
+    ring = PolyRing(("X", "Y", "Z")[:n], p)
+    f = _all_linear_forms_product(ring)
+    assert f.degree() == degree
+    M = CyclicModule(Ideal(ring, (f,)))
+
+    depth, cuts = depth_with_certificate(M, seed)
+    assert depth == len(cuts) == M.d == n - 1
+    # at each level of positive dimension the first linear draw is a
+    # zero-divisor whose kernel has positive dimension, so that level
+    # falls back to the socle colon, which finds no socle
+    assert len(socle_colons) == n - 1
+
+    ok, cert = is_cm_reducing(M, seed)
+    assert ok and cert.last_is_nzd
+
+    names = ",".join(ring.var_names)
+    report, code = run_block(f"ring [{names}] p={p}\nideal {f}\nseed {seed}\nis-cm both\n")
+    assert code == 0, report
+    assert report["verdict"] is True and report["agree"] is True
+    assert report["depth"] == n - 1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cm_equivalence_over_small_fields(p):
+    result = run_suites(["cm-equivalence"], 90125, 200, p=p)[0]
+    assert result.instances == 200 and result.violations == 0, result.first_counterexample

@@ -14,6 +14,7 @@ from redsop import (
     is_regular_sequence,
     make_reducing,
     max_assoc_dim_containing,
+    monomial,
     random_sop,
 )
 from redsop.sop import depth_with_certificate
@@ -166,6 +167,53 @@ def test_make_reducing_on_regular_ring():
 def test_make_reducing_rejects_non_sop(R, M):
     with pytest.raises(ValueError):
         make_reducing(seq(R, "X; Y"), M, seed=0)
+
+
+def test_make_reducing_rejection_messages(R, M):
+    with pytest.raises(ValueError, match="not part of a system of parameters"):
+        make_reducing(seq(R, "X"), M, seed=0)
+    with pytest.raises(ValueError, match=r"sequence longer \(3\) than dim M \(2\)"):
+        make_reducing(seq(R, "X; Y; Z"), M, seed=0)
+
+
+def test_make_reducing_compares_no_ideals_on_its_identity_attempt(R, M, monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("two ideals were compared")
+
+    monkeypatch.setattr(Ideal, "__eq__", refuse)
+    for text in ("X+Y+Z; Y", "X+Y"):
+        xs = seq(R, text)
+        res = make_reducing(xs, M, seed=5)
+        assert res.ok and res.attempts == 0 and res.sequence is xs
+
+
+def test_make_reducing_compares_ideals_on_a_transformed_attempt(R, M, monkeypatch):
+    compared = []
+    eq = Ideal.__eq__
+
+    def counted(self, other):
+        compared.append((str(self), str(other)))
+        return eq(self, other)
+
+    monkeypatch.setattr(Ideal, "__eq__", counted)
+    res = make_reducing(seq(R, "Y; X+Y+Z"), M, seed=5)
+    assert res.ok and res.attempts > 0
+    assert len(compared) == 1
+
+
+def test_reducing_check_computes_one_numerator_per_prefix(monkeypatch):
+    ran = []
+    numerator = monomial.hilbert_numerator
+
+    def counted(n, exps):
+        ran.append(tuple(sorted(exps)))
+        return numerator(n, exps)
+
+    monkeypatch.setattr(monomial, "hilbert_numerator", counted)
+    ring = PolyRing(("X", "Y", "Z", "W"))
+    N = CyclicModule(ring.ideal("XY"))  # Ass: (X) and (Y), both of dimension 3
+    assert is_reducing_sop(seq(ring, "Z; W"), N).ok
+    assert len(ran) == len(set(ran)) == 3  # (XY), (XY, Z) and (XY, Z, W)
 
 
 def test_make_reducing_part_identity(R, M):

@@ -5,15 +5,19 @@ basis is unique (monic generators, no term divisible by another leading
 term, sorted ascending by leading monomial), so recomputation from any
 permutation or rescaling of the generators returns the identical tuple.
 
-Inside the Buchberger kernel one basis element is one monic record
-``(leading monomial, terms)``, the same record ``poly._nf_raw`` divides
-by.  Order keys are memoized for the length of one call, so each monomial
-is keyed once per basis however often division revisits it.  Each
-critical pair's selection key (degree and order key of the lcm, then the
-indices) is made once, when the pair is.  After the pairs run
-out, the basis is minimalized and each tail is reduced once against the
-others: the leading monomials of a minimal basis no longer change, so
-one pass leaves every element reduced.
+Inside the Buchberger kernel a monomial is one int (Monagan & Pearce
+2011): the order's weight rows (grevlex as partial sums e_1 + .. + e_k,
+the elimination blocks, the tag order's weighted degree) fill the high
+fields and the exponents the low ones, each with a guard bit above, so
+``<`` is the order, ``+`` multiplies and a divides b exactly when
+``(b - a) & guard`` is 0.  Generators are packed once on entry and the
+basis unpacked once on exit.  A field holds the square of the largest
+weighted degree of the input; a term reaching a guard bit, or a new
+leading monomial reaching half a field, restarts the run on fields twice
+as wide, so exponents of any size stay exact.  Pairs come from the
+update of Gebauer & Moeller (1988), reduced by sugar (Giovini et al.
+1991), then lcm.  Finally the basis is minimalized and each tail reduced
+once against the others, which leaves every element reduced.
 
 Colons and saturations come from one basis (Bayer & Stillman 1987).
 For homogeneous J and f of degree e, adjoin a tag y of degree e, placed
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from operator import add, sub
+from operator import mul
 
 from .poly import (
     GREVLEX,
@@ -55,7 +59,6 @@ from .poly import (
     PolyRing,
     _nf_raw,
     mono_divides,
-    mono_lcm,
 )
 
 _GB_CACHE = {}
@@ -69,79 +72,121 @@ def _poly_key(terms):
     return tuple(sorted(terms.items()))
 
 
-def _monic_for(terms, p, okey):
-    """The monic record (leading monomial, terms) of a nonzero term dict."""
-    lm = max(terms, key=okey)
-    lc = terms[lm]
-    if lc == 1:
-        return lm, terms
-    if p:
-        inv = pow(lc, p - 2, p)
-        return lm, {m: (c * inv) % p for m, c in terms.items()}
-    return lm, {m: c / lc for m, c in terms.items()}
+@functools.lru_cache(maxsize=64)
+def _weights(order, n):
+    """Weights of the n variables bounding every row of the order and every exponent."""
+    return tuple(max([1] + [r[i] for r in order.rows(n)]) for i in range(n))
 
 
-def _spoly(g1, g2, lcm, p):
-    """S-polynomial of two monic records whose leading monomials have this lcm."""
-    (lm1, t1), (lm2, t2) = g1, g2
-    u1 = tuple(map(sub, lcm, lm1))
-    u2 = tuple(map(sub, lcm, lm2))
-    res = {tuple(map(add, m, u1)): c for m, c in t1.items()}
-    for m, c in t2.items():
-        mm = tuple(map(add, m, u2))
-        v = res.get(mm, 0) - c
-        if p:
-            v %= p
-        if v:
-            res[mm] = v
-        else:
-            res.pop(mm, None)
-    return res
+@functools.lru_cache(maxsize=256)
+class _Packing:
+    """Monomials of one order in n variables as ints: from the most significant
+    field down, the order's weight rows, then e_1 .. e_n; ``bits`` to a field
+    and a guard bit above each.  One instance per (order, n, bits)."""
+
+    def __init__(self, order, n, bits):
+        fields = order.rows(n) + [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        width = bits + 1
+        self.var = [sum(f[i] << width * (len(fields) - 1 - k) for k, f in enumerate(fields))
+                    for i in range(n)]
+        self.guard = sum(1 << width * k + bits for k in range(len(fields)))
+        self.half = self.guard >> 1
+        self.weights = _weights(order, n)
+        self._shifts = [width * (n - 1 - i) for i in range(n)]
+        self._mask = (1 << bits) - 1
+
+    def pack(self, exps):
+        return sum(map(mul, exps, self.var))
+
+    def unpack(self, m):
+        mask = self._mask
+        return tuple([m >> s & mask for s in self._shifts])
 
 
-def _buchberger_raw(polys, okey, p):
-    """Reduced Groebner basis of raw term dicts, monic, sorted ascending."""
-    okey = functools.cache(okey)  # each monomial is keyed once per call
-    G = [_monic_for(t, p, okey) for t in polys if t]
-    # pair (i, j) -> its selection key, made once; the lcm rides at the end
-    pending = {}
+def _packed(fn, order, n, term_dicts):
+    """fn(packing, the largest weighted degree of each term dict), on fields that hold
+    the square of the largest, doubled in bits each time fn raises OverflowError."""
+    weights = _weights(order, n)
+    degrees = [max([sum(map(mul, m, weights)) for m in t], default=0) for t in term_dicts]
+    bits = 2 * max(degrees).bit_length() + 1
+    while True:
+        try:
+            return fn(_Packing(order, n, bits), degrees)
+        except OverflowError:
+            bits *= 2
 
-    def add_pairs(j):
-        lmj = G[j][0]
-        for i in range(j):
-            lcm = mono_lcm(G[i][0], lmj)
-            pending[i, j] = (sum(lcm), okey(lcm), i, j, lcm)
 
-    for j in range(1, len(G)):
-        add_pairs(j)
-    while pending:
-        pair = min(pending, key=pending.__getitem__)
-        lcm = pending.pop(pair)[4]
-        i, j = pair
-        lmi, lmj = G[i][0], G[j][0]
-        # product criterion: coprime leading monomials
-        if not any(map(min, lmi, lmj)):
-            continue
-        # chain criterion: some g_k divides the lcm and both its pairs are done
-        if any(k != i and k != j and mono_divides(lmk, lcm)
-               and ((i, k) if i < k else (k, i)) not in pending
-               and ((j, k) if j < k else (k, j)) not in pending
-               for k, (lmk, _) in enumerate(G)):
-            continue
-        h = _nf_raw(_spoly(G[i], G[j], lcm, p), G, okey, p)
+def _buchberger_raw(polys, packing, p):
+    """Monic records (leading monomial, tail) of the reduced basis, ascending, of
+    packed (term dict, sugar) inputs.  Raises OverflowError once a new leading
+    monomial reaches ``packing.half`` in some field."""
+    unpack, var, weights = packing.unpack, packing.var, packing.weights
+    guard, half = packing.guard, packing.half
+    lms, exps, offsets = [], [], []  # offset: sugar minus the degree of the lm
+    records = []  # (lm, tail) of every element: dividing by dropped ones too keeps QQ small
+    live = []  # elements whose leading monomial no later one divides
+    pairs = []  # (sugar, lcm, j, i), descending, so pop() takes the next one
+
+    def insert(terms, sugar):
+        nonlocal live, pairs
+        lm = max(terms)
+        if lm & half:
+            raise OverflowError("a leading monomial outgrew half its packed fields")
+        lc = terms.pop(lm)
+        if lc != 1:
+            inv = pow(lc, p - 2, p) if p else 1 / lc
+            terms = {m: c * inv % p if p else c * inv for m, c in terms.items()}
+        e = unpack(lm)
+        off = sugar - sum(map(mul, e, weights))
+        h = len(lms)
+        les = [tuple(map(max, e, x)) for x in exps]  # exponents of lcm(lm, lm_g) for every g
+        lcms = [sum(map(mul, le, var)) for le in les]
+        # criterion B: drop an old pair whose lcm lm(h) divides, unless h shares it with a side
+        pairs = [q for q in pairs if (q[1] - lm) & guard or q[1] in (lcms[q[2]], lcms[q[3]])]
+        # criterion M by ascending lcm: one pair per minimal lcm, none if that one is coprime
+        new = sorted((lcms[g], lcms[g] != lm + lms[g],  # (lcm, not coprime, sugar, g)
+                      sum(map(mul, les[g], weights)) + max(off, offsets[g]), g) for g in live)
+        kept = []
+        for lcm, paired, s, g in new:
+            if all((lcm - k) & guard for k in kept):
+                kept.append(lcm)
+                if paired:
+                    pairs.append((s, lcm, h, g))
+        pairs.sort(reverse=True)
+        lms.append(lm)
+        exps.append(e)
+        offsets.append(off)
+        records.append((lm, terms))
+        live = [g for g in live if (lms[g] - lm) & guard] + [h]
+
+    for terms, sugar in polys:
+        insert(terms, sugar)
+    while pairs:
+        sugar, lcm, j, i = pairs.pop()
+        ui, uj = lcm - lms[i], lcm - lms[j]
+        spoly = {m + ui: c for m, c in records[i][1].items()}
+        for m, c in records[j][1].items():
+            mm = m + uj
+            v = spoly.get(mm, 0) - c
+            if p:
+                v %= p
+            if v:
+                spoly[mm] = v
+            else:
+                del spoly[mm]
+        h = _nf_raw(spoly, records, p, guard)
         if h:
-            G.append(_monic_for(h, p, okey))
-            add_pairs(len(G) - 1)
+            insert(h, sugar)
 
     # minimalize: drop any element whose leading monomial another one divides
     basis = []
-    for lm, terms in sorted(G, key=lambda g: okey(g[0])):
-        if not any(mono_divides(klm, lm) for klm, _ in basis):
-            basis.append((lm, terms))
-    # one pass reduces every tail: the leading monomials no longer change
-    for i, (lm, terms) in enumerate(basis):
-        basis[i] = (lm, _nf_raw(terms, basis[:i] + basis[i + 1:], okey, p))
-    return [terms for _, terms in basis]
+    for g in sorted(live, key=lms.__getitem__):
+        if all((lms[g] - lm) & guard for lm, _ in basis):
+            basis.append(records[g])
+    # one pass reduces every tail: no leading monomial changes or divides its own tail
+    for i, (lm, tail) in enumerate(basis):
+        basis[i] = (lm, _nf_raw(tail, basis, p, guard))
+    return basis
 
 
 def buchberger(gens, order=GREVLEX):
@@ -149,6 +194,7 @@ def buchberger(gens, order=GREVLEX):
 
     Monomial generator sets short-circuit to their minimal monic
     generators, which already form the reduced basis for every order.
+    Each element's first term is its leading monomial.
     """
     gens = list(gens)
     if not gens:
@@ -165,15 +211,20 @@ def buchberger(gens, order=GREVLEX):
         return hit
 
     nonzero = [g.terms for g in gens if g.terms]
+    one = ring.coeff(1)
     if all(len(t) == 1 for t in nonzero):
         exps = _minimalize_monomials([next(iter(t)) for t in nonzero])
-        basis = tuple(
-            Polynomial(ring, {m: ring.coeff(1)}, _raw=True)
-            for m in sorted(exps, key=order.key)
-        )
+        basis = tuple(Polynomial(ring, {m: one}, _raw=True) for m in sorted(exps, key=order.key))
     else:
-        raw = _buchberger_raw(nonzero, order.key, ring.p)
-        basis = tuple(Polynomial(ring, t, _raw=True) for t in raw)
+        def run(packing, sugars):
+            var, unpack = packing.var, packing.unpack
+            raw = _buchberger_raw([({sum(map(mul, m, var)): c for m, c in t.items()}, s)
+                                   for t, s in zip(nonzero, sugars)], packing, ring.p)
+            return [{unpack(lm): one, **{unpack(m): c for m, c in tail.items()}}
+                    for lm, tail in raw]
+
+        basis = tuple(Polynomial(ring, t, _raw=True)
+                      for t in _packed(run, order, ring.n, nonzero))
 
     if len(_GB_CACHE) >= _GB_CACHE_LIMIT:
         _GB_CACHE.clear()
@@ -260,6 +311,9 @@ class _TagOrder:
     def key(self, exps):
         return (sum(exps) + (self.weight - 1) * exps[-1], tuple(-e for e in reversed(exps)))
 
+    def rows(self, n):
+        return [(1,) * (n - 1) + (self.weight,)] + GREVLEX.rows(n)[1:]
+
 
 class Ideal:
     """Finitely generated ideal of a :class:`PolyRing` with a basis cache."""
@@ -294,14 +348,24 @@ class Ideal:
     def reduce(self, f, order=GREVLEX):
         """Normal form of f against the reduced basis for the order.
 
-        The one division entry point: the reduced basis is monic, so its
-        elements are the records :func:`poly._nf_raw` divides by.
+        The one division entry point: the reduced basis is monic and each
+        element starts with its leading term, so packed it gives the records
+        :func:`poly._nf_raw` divides by.
         """
         if f.ring != self.ring:
             raise ValueError("ring mismatch")
-        okey = order.key
-        records = [(max(g.terms, key=okey), g.terms) for g in self.groebner_basis(order)]
-        return Polynomial(f.ring, _nf_raw(f.terms, records, okey, f.ring.p), _raw=True)
+        basis = self.groebner_basis(order)
+
+        def run(packing, _):
+            pack = packing.pack
+            records = [(pack(lm), {pack(m): c for m, c in g.terms.items() if m != lm})
+                       for g in basis for lm in [next(iter(g.terms))]]
+            rem = _nf_raw({pack(m): c for m, c in f.terms.items()}, records, f.ring.p,
+                          packing.guard)
+            return {packing.unpack(m): c for m, c in rem.items()}
+
+        return Polynomial(f.ring, _packed(run, order, f.ring.n, [g.terms for g in (*basis, f)]),
+                          _raw=True)
 
     def contains(self, f):
         return self.reduce(f).is_zero()
@@ -345,7 +409,7 @@ class Ideal:
         """
         exps = self.monomial_exponents()
         if exps is None:
-            exps = [g.leading_monomial() for g in self.groebner_basis()]
+            exps = [next(iter(g.terms)) for g in self.groebner_basis()]
         return exps
 
     def hilbert_numerator(self):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add, le
 
 
 class ParseError(ValueError):
@@ -83,7 +83,8 @@ def monomials_of_degree(n, d):
 
 # ---------------------------------------------------------------------------
 # monomial orders: frozen objects whose ``key`` sorts exponent tuples into a
-# total multiplicative order
+# total multiplicative order; ``rows(n)`` gives it as nonnegative weight rows
+# compared in turn, then the exponents lexicographically
 
 def _grev_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
@@ -93,11 +94,18 @@ def _grev_key(exps):
 class GrevlexOrder:
     key = staticmethod(_grev_key)
 
+    @staticmethod
+    def rows(n):
+        return EliminationOrder(0).rows(n)
+
 
 @dataclass(frozen=True)
 class LexOrder:
     def key(self, exps):
         return exps
+
+    def rows(self, n):
+        return []
 
 
 @dataclass(frozen=True)
@@ -115,6 +123,11 @@ class EliminationOrder:
         head = exps[:k]
         tail = exps[k:]
         return (_grev_key(head), _grev_key(tail))
+
+    def rows(self, n):
+        k = min(self.first, n)  # head sums down to x_0 alone, tail sums down to two
+        return ([(1,) * j + (0,) * (n - j) for j in range(k, 0, -1)]
+                + [(0,) * k + (1,) * (j - k) + (0,) * (n - j) for j in range(n, k + 1, -1)])
 
 
 GREVLEX = GrevlexOrder()
@@ -548,29 +561,29 @@ def parse_poly(text, ring):
 # ---------------------------------------------------------------------------
 # division
 
-def _nf_raw(fterms, basis, okey, p):
-    """Remainder of division by monic (leading monomial, terms) records; raw dicts."""
+def _nf_raw(fterms, basis, p, guard):
+    """Remainder of terms divided by monic records (leading monomial, tail), all
+    packed as in ``groebner._Packing``; OverflowError once a term reaches a guard bit."""
     work = dict(fterms)
     rem = {}
     while work:
-        lm = max(work, key=okey)
+        lm = max(work)
+        if lm & guard:
+            raise OverflowError("a monomial outgrew its packed fields")
         lc = work.pop(lm)
-        for glm, gterms in basis:
-            if all(map(le, glm, lm)):
-                q = tuple(map(sub, lm, glm))
-                for gm, gc in gterms.items():
-                    if gm == glm:
-                        continue
-                    mm = tuple(map(add, gm, q))
+        for glm, gtail in basis:
+            q = lm - glm
+            if not q & guard:
+                for gm, gc in gtail.items():
+                    mm = gm + q
                     v = work.get(mm, 0) - lc * gc
                     if p:
                         v %= p
                     if v:
                         work[mm] = v
                     else:
-                        work.pop(mm, None)
+                        del work[mm]
                 break
         else:
             rem[lm] = lc
     return rem
-

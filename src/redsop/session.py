@@ -43,7 +43,7 @@ from .sop import (
     is_reducing_sop,
     make_reducing,
 )
-from .suites import SUITES, run_suites
+from .suites import SUITES, run_suites, selected_suites
 
 SCHEMA = "redsop.report/1"
 
@@ -312,11 +312,9 @@ def check_theorems(report, suites, options, seed):
             opts["squarefree"] = val in ("1", "true", "yes")
         else:
             raise ValueError(f"unknown check-theorems option {key!r}")
-    for name in names:
-        if name != "all" and name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}")
+    names = selected_suites(names)
     if "n_values" in opts:  # dim M <= n - 1, so a suite needs n > min_dim
-        for name in SUITES if not names or "all" in names else names:
+        for name in names:
             min_dim = SUITES[name][2]
             if max(opts["n_values"]) <= min_dim:
                 raise ValueError(f"suite {name!r} draws modules of dimension at least "

@@ -681,6 +681,15 @@ SUITES = {
 }
 
 
+def selected_suites(names):
+    """Every suite when the list is empty or holds ``all``, else the names;
+    ValueError on a name that is neither a suite nor ``all``."""
+    for name in names:
+        if name != "all" and name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}")
+    return list(SUITES) if not names or "all" in names else list(names)
+
+
 def run_suites(names, seed, count=None, **opts):
     """Run the named suites (or all) with per-suite derived seeds.
 
@@ -688,12 +697,8 @@ def run_suites(names, seed, count=None, **opts):
     from a master generator seeded per suite name, and modules of at
     least the suite's min_dim.
     """
-    if not names or names == ["all"]:
-        names = list(SUITES)
     results = []
-    for name in names:
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}")
+    for name in selected_suites(names):
         fn, default_count, min_dim = SUITES[name]
         res = SuiteResult(name)
         master = random.Random(random.Random(f"{seed}:{name}").getrandbits(64))

@@ -386,6 +386,22 @@ def test_check_report_bytes(argv, digest, exit_code, capsys, monkeypatch):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_all_inside_a_suite_list_runs_every_suite(capsys, monkeypatch):
+    # `all` next to other names used to crash `redsop check` with a KeyError
+    from redsop.cli import main
+
+    monkeypatch.delenv("REDSOP_SEED", raising=False)
+    assert main(["check", "--suites", "all", "--count", "1"]) == EXIT_OK
+    every = capsys.readouterr().out
+    assert main(["check", "--suites", "all,kernel", "--count", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == every
+    report, code = run("check-theorems kernel,all count=1\n")
+    assert code == EXIT_OK
+    assert report["suites"] == json.loads(every)["suites"]
+    assert main(["check", "--suites", "all,nonsense"]) == EXIT_INPUT_ERROR
+    assert "unknown suite 'nonsense'" in json.loads(capsys.readouterr().out)["error"]
+
+
 @pytest.mark.parametrize("option", [["--vars", "a"], ["--vars", "0"], ["--vars", "9"],
                                     ["--max-gens", "0"], ["--max-degree", "0"],
                                     ["--count", "0"], ["--count", "-2"]],

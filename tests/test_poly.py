@@ -11,8 +11,8 @@ from redsop import (
     PolyRing,
 )
 from redsop.corpus import random_monomial
-from redsop.groebner import _monic_for
-from redsop.poly import _is_prime, _nf_raw
+from redsop.groebner import _Packing, _TagOrder
+from redsop.poly import _is_prime, _nf_raw, mono_divides
 
 
 def test_parse_implicit_product(R):
@@ -143,9 +143,36 @@ def test_elimination_order_blocks():
     assert order.key((1, 0, 0)) > order.key((0, 5, 7))
 
 
+@pytest.mark.parametrize("order", [GREVLEX, LEX, EliminationOrder(1), EliminationOrder(2),
+                                   _TagOrder(1), _TagOrder(3)],
+                         ids=["grevlex", "lex", "elim1", "elim2", "tag1", "tag3"])
+def test_packed_monomials_follow_the_order(order):
+    # < on packed ints is the order's key, + multiplies, the guard test divides
+    rng = random.Random(13)
+    packing = _Packing(order, 4, 9)
+    monos = [tuple(rng.randint(0, 4) for _ in range(4)) for _ in range(200)]
+    packed = {m: packing.pack(m) for m in monos}
+    assert sorted(monos, key=order.key) == sorted(monos, key=packed.__getitem__)
+    for a, b in zip(monos, monos[1:]):
+        assert packing.unpack(packed[a]) == a
+        assert packed[a] + packed[b] == packing.pack(tuple(x + y for x, y in zip(a, b)))
+        assert (not (packed[b] - packed[a]) & packing.guard) == mono_divides(a, b)
+
+
+def _records(polys, packing, p):
+    """Monic (leading monomial, tail) records of packed polynomials."""
+    records = []
+    for g in polys:
+        terms = {packing.pack(m): c for m, c in g.terms.items()}
+        lm = max(terms)
+        inv = pow(terms.pop(lm), p - 2, p)
+        records.append((lm, {m: c * inv % p for m, c in terms.items()}))
+    return records
+
+
 def test_division_contract_random(R):
     # Buchberger divides by monic records of lists that are not bases yet
-    okey = GREVLEX.key
+    packing = _Packing(GREVLEX, 3, 9)
     rng = random.Random(23)
     for _ in range(60):
         f_terms = {_random_mono(rng, 3): rng.randrange(1, 32003) for _ in range(rng.randint(1, 5))}
@@ -159,14 +186,28 @@ def test_division_contract_random(R):
             g = Polynomial(R, terms)
             if not g.is_zero():
                 basis.append(g)
-        records = [_monic_for(g.terms, R.p, okey) for g in basis]
-        rem = Polynomial(R, _nf_raw(f.terms, records, okey, R.p))
+        records = _records(basis, packing, R.p)
+
+        def nf(h):
+            packed = {packing.pack(m): c for m, c in h.terms.items()}
+            rem = _nf_raw(packed, records, R.p, packing.guard)
+            return Polynomial(R, {packing.unpack(m): c for m, c in rem.items()})
+
+        rem = nf(f)
         # remainder is irreducible
         lts = [g.leading_monomial() for g in basis]
         for m in rem.terms:
             assert not any(all(a <= b for a, b in zip(lt, m)) for lt in lts)
         # f - rem reduces to zero
-        assert not _nf_raw((f - rem).terms, records, okey, R.p)
+        assert nf(f - rem).is_zero()
+
+
+def test_division_refuses_a_term_past_its_fields(R):
+    packing = _Packing(LEX, 3, 3)  # exponents 0..7
+    f = {packing.pack((4, 0, 0)): 1}
+    x = _records([R.poly("X - Y^3")], packing, R.p)
+    with pytest.raises(OverflowError):
+        _nf_raw(f, x, R.p, packing.guard)  # X^4 -> X^3*Y^3 -> .. -> X*Y^9
 
 
 def test_ring_axioms_spot_check(R):

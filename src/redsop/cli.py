@@ -60,7 +60,7 @@ def _cmd_run(args):
         try:
             with open(args.target, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
     try:

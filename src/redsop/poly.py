@@ -477,11 +477,12 @@ class _Parser:
         if self.budget < 0:
             raise ParseError(f"expression too large: more than {PARSE_PRODUCT_BUDGET} "
                              "term products", pos)
-        self.check_coeffs(_coeff_bits(a) + _coeff_bits(b), pos)
+        self.check_coeffs(pos, a, b)
         return a * b
 
-    def check_coeffs(self, bits, pos):
-        if bits > PARSE_COEFF_BITS:
+    def check_coeffs(self, pos, *factors):
+        """Refuse factors whose product could pass PARSE_COEFF_BITS; only p = 0 needs it."""
+        if not self.ring.p and sum(map(_coeff_bits, factors)) > PARSE_COEFF_BITS:
             raise ParseError(f"coefficient too large: more than {PARSE_COEFF_BITS} bits", pos)
 
     def peek(self):
@@ -531,7 +532,7 @@ class _Parser:
         kind, value, pos = self.next()
         if kind == "int":
             node = self.ring.const(value)
-            self.check_coeffs(_coeff_bits(node), pos)
+            self.check_coeffs(pos, node)
             return node
         if kind == "var":
             return self.ring.gen(value)

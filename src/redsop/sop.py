@@ -27,11 +27,15 @@ of degree e the exact sequence
 gives t^e HS(K) = HS(R/(J + x)) - (1 - t^e) HS(R/J).  Over (1 - t)^n the
 right side has numerator N(J + x) - (1 - t^e) N(J), so x is a
 non-zero-divisor exactly when N(J + x) = (1 - t^e) N(J), and otherwise
-dim K is the pole order of that numerator at t = 1.  Each numerator is
-read off a grevlex leading-term ideal once per ideal, and the basis of
-J + x is the one the next cut needs anyway.  Depth cuts, regular
-sequences, the last step of the Cohen-Macaulay test and the avoidance
-question all read this kernel series.
+dim K is the pole order of that numerator at t = 1, read off grevlex
+leading-term ideals once per ideal.  _assoc_dim_witness is this one
+kernel test: depth cuts, regular sequences, the avoidance question and
+the last step of the Cohen-Macaulay test all call it.  A walk along a
+sequence reads one list of sections I, I + (x_1), ..., I + (x_1..x_r),
+each built once; _reducing_check reads its dimension check off the last
+and step i off sections i - 1 and i.  Across public calls the sections
+are rebuilt: random_sop, make_reducing's check and the last test of
+is_cm_reducing each build their own, so those numerators repeat.
 
 A depth level whose first draw x is a zero-divisor runs one colon,
 Q = J : x: when (1 - t)^n divides N(J) - N(Q), the kernel Q/J is a
@@ -251,29 +255,15 @@ def _pole_order(n, num):
     return n
 
 
-def _kernel_numerator(J, x, Jx):
-    """N(Jx) - (1 - t^e) N(J): t^e times the numerator of HS(0 :_{R/J} x), e = deg x.
+def _assoc_dim_witness(J, x, Jx):
+    """dim (0 :_{R/J} x) given Jx = J + (x): its pole order at t = 1, -1 for a non-zero-divisor.
 
-    Jx is J + (x), and x must be homogeneous (see the module docstring).
+    The one kernel test (see the module docstring); x must be homogeneous.
     """
     if not x.is_homogeneous():
         raise HomogeneityError(f"{x} is not homogeneous")
-    return _difference(Jx.hilbert_numerator(),
-                       times_one_minus(J.hilbert_numerator(), x.degree()))
-
-
-def _is_nzd(J, x, Jx):
-    """Whether homogeneous x is a non-zero-divisor on R/J, given Jx = J + (x).
-
-    Exactly when the kernel of x on R/J has Hilbert numerator zero, that
-    is N(Jx) = (1 - t^deg x) N(J) (see the module docstring).
-    """
-    return not any(_kernel_numerator(J, x, Jx))
-
-
-def _assoc_dim_witness(J, x, Jx):
-    """dim (0 :_{R/J} x) given Jx = J + (x): its pole order at t = 1, -1 for a non-zero-divisor."""
-    num = _kernel_numerator(J, x, Jx)
+    num = _difference(Jx.hilbert_numerator(),
+                      times_one_minus(J.hilbert_numerator(), x.degree()))
     return _pole_order(J.ring.n, num) if any(num) else -1
 
 
@@ -305,26 +295,33 @@ def _monomial_prime_witness(J, x, dim):
     return min(primes, key=lambda P: P.sorted_vars())
 
 
-def _reducing_violations(xs, M, upto):
-    """First violated avoidance condition among steps 1..upto, else None."""
-    J = M.ideal
-    d = M.d
-    for i in range(1, upto + 1):
-        x = xs[i - 1]
-        threshold = d - i
-        Jx = J + (x,)
-        found = _assoc_dim_witness(J, x, Jx)
-        if found >= threshold:
-            return ViolationWitness(
-                kind="associated_prime",
-                dim=found,
-                index=i,
-                threshold=threshold,
+def _sections(J, xs):
+    """[J, J + (x_1), ..., J + (x_1..x_r)]: the quotients a walk along xs reads."""
+    Js = [J]
+    for x in xs:
+        Js.append(Js[-1] + (x,))
+    return Js
+
+
+def _reducing_check(xs, Js, d):
+    """The reducing check of xs on R/I, d = dim R/I, given Js = _sections(I, xs).
+
+    The dimension check reads Js[-1]; step i, for i <= min(r, d - 1),
+    reads Js[i - 1] and Js[i] (see is_reducing_sop).
+    """
+    dim = Js[-1].dim_quotient()
+    if dim != d - len(xs):
+        return ReducingCheck(False, ViolationWitness(
+            kind="not_system_of_parameters", dim=dim, ideal=Js[-1]))
+    for i in range(1, min(len(xs), d - 1) + 1):
+        J, x = Js[i - 1], xs[i - 1]
+        found = _assoc_dim_witness(J, x, Js[i])
+        if found >= d - i:
+            return ReducingCheck(False, ViolationWitness(
+                kind="associated_prime", dim=found, index=i, threshold=d - i,
                 ideal=J.quotient_ideal(J.saturation(x)),
-                prime=_monomial_prime_witness(J, x, found),
-            )
-        J = Jx
-    return None
+                prime=_monomial_prime_witness(J, x, found)))
+    return ReducingCheck(True)
 
 
 def is_reducing_sop(xs, M):
@@ -338,28 +335,16 @@ def is_reducing_sop(xs, M):
     already contradict the dimension drop of a system of parameters.  The
     literal-definition suite pins this equivalence on monomial corpora.
     """
-    d = M.d
-    r = xs.r
-    if r > d:
-        raise ValueError(f"sequence longer ({r}) than dim M ({d})")
-    J = M.ideal + xs.elems if r else M.ideal
-    dim = J.dim_quotient()
-    if dim != d - r:
-        return ReducingCheck(False, ViolationWitness(
-            kind="not_system_of_parameters", dim=dim, ideal=J))
-    witness = _reducing_violations(xs, M, min(r, d - 1))
-    return ReducingCheck(witness is None, witness)
+    if xs.r > M.d:
+        raise ValueError(f"sequence longer ({xs.r}) than dim M ({M.d})")
+    return _reducing_check(xs, _sections(M.ideal, xs), M.d)
 
 
 def is_regular_sequence(xs, M):
     """Each element a non-zero-divisor modulo its predecessors."""
-    J = M.ideal
-    for x in xs:
-        Jx = J + (x,)
-        if not _is_nzd(J, x, Jx):
-            return False
-        J = Jx
-    return J.is_proper()
+    Js = _sections(M.ideal, xs)
+    return (all(_assoc_dim_witness(J, x, Jx) < 0 for J, x, Jx in zip(Js, xs, Js[1:]))
+            and Js[-1].is_proper())
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +494,7 @@ def depth_with_certificate(M, seed=0):
     while J.dim_quotient() > 0:
         for draw, x in enumerate(_ladder(ring, rng)):
             Jx = J + (x,)
-            if _is_nzd(J, x, Jx):
+            if _assoc_dim_witness(J, x, Jx) < 0:
                 J = Jx
                 cuts.append(x)
                 break
@@ -545,6 +530,6 @@ def is_cm_reducing(M, seed):
     if not res.ok:
         raise RetryBudgetError("failed to build a reducing system of parameters")
     ys = res.sequence
-    J = M.ideal + ys.elems[:-1]
-    nzd = _is_nzd(J, ys[-1], J + (ys[-1],))
+    Js = _sections(M.ideal, ys)
+    nzd = _assoc_dim_witness(Js[-2], ys[-1], Js[-1]) < 0
     return nzd, CmCertificate(M.d, ys, nzd)

@@ -330,6 +330,16 @@ def test_cli_env_seed(tmp_path, monkeypatch):
     assert json.loads(proc.stdout)["seed"] == 99
 
 
+def test_cli_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
+    from redsop.cli import main
+
+    session = tmp_path / "session.txt"
+    session.write_bytes(b"ring [X] p=3\nideal X\xff\ndim\n")
+    assert main(["run", str(session)]) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "utf-8" in err
+
+
 def test_cli_human_mode(capsys):
     from redsop.cli import main
 

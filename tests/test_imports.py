@@ -1,6 +1,7 @@
 """Every name a redsop module imports is used in that module, every
-module-level definition is referenced somewhere in src, tests or bench,
-and so is every method or property of a redsop class."""
+module-level definition is referenced somewhere in src, tests or bench
+(a private one in src itself), and so is every method or property of a
+redsop class."""
 
 import ast
 import pathlib
@@ -93,6 +94,23 @@ def test_no_dead_definitions():
                for p in sorted((ROOT / top).rglob("*.py"))]
     modules = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert dead_definitions(modules, sources) == []
+
+
+def unread_private_definitions(module_sources):
+    """Private module-level definitions that no module reads, kept alive only by tests or bench."""
+    return [name for name in dead_definitions(module_sources, module_sources)
+            if name.startswith("_")]
+
+
+def test_detector_sees_private_helpers_read_only_by_tests():
+    module = ("def api():\n    return _used()\n\n"
+              "def _used():\n    return 1\n\ndef _tested():\n    return 2\n")
+    assert unread_private_definitions([module]) == ["_tested"]
+
+
+def test_private_definitions_are_read_in_src():
+    modules = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unread_private_definitions(modules) == []
 
 
 def attribute_reads(sources):

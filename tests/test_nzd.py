@@ -1,6 +1,7 @@
 """Non-zero-divisors by Hilbert series, checked against the colon route,
 and the one-colon depth-0 certificate against the socle colon."""
 
+import collections
 import itertools
 import random
 
@@ -13,6 +14,7 @@ from redsop import (
     Polynomial,
     PolyRing,
     construct_reducing_part_in_prime,
+    groebner,
     is_reducing_sop,
     max_assoc_dim_containing,
     monomial,
@@ -25,7 +27,6 @@ from redsop.suites import run_suites
 from redsop.sop import (
     _assoc_dim_witness,
     _has_depth_zero,
-    _is_nzd,
     _random_invertible,
     depth_with_certificate,
     is_cm_reducing,
@@ -80,10 +81,11 @@ def _saturate_first(x, J):
 def test_hilbert_test_agrees_with_the_colon_route():
     seen = {True: 0, False: 0}
     for J, x in _fixtures():
-        nzd = _is_nzd(J, x, J + (x,))
+        found = _assoc_dim_witness(J, x, J + (x,))
+        nzd = found < 0
         assert nzd == (J.quotient(x) == J), (str(J), str(x))
         seen[nzd] += 1
-        assert _assoc_dim_witness(J, x, J + (x,)) == _saturate_first(x, J), (str(J), str(x))
+        assert found == _saturate_first(x, J), (str(J), str(x))
     assert seen[True] >= 20 and seen[False] >= 20, seen
 
 
@@ -92,7 +94,7 @@ def test_non_homogeneous_element_is_refused():
     J = R.ideal("XY")
     x = R.poly("X + 1")
     with pytest.raises(ValueError):
-        _is_nzd(J, x, J + (x,))
+        _assoc_dim_witness(J, x, J + (x,))
 
 
 class ColonCalled(AssertionError):
@@ -136,6 +138,33 @@ def test_each_ideal_computes_its_numerator_once(monkeypatch):
     R = PolyRing(("X", "Y", "Z"))
     assert is_regular_sequence(ParamSequence.parse(R, "X+Y; Z"), CyclicModule(R.ideal("XY")))
     assert len(ran) == 3  # (XY), (XY, X+Y) and (XY, X+Y, Z), each once
+
+
+def test_each_prefix_ideal_is_built_once(monkeypatch, R, M):
+    """A reducing check of a part, and the construction with its final
+    check, compute each prefix ideal's basis and numerator once."""
+    built = collections.Counter()
+    basis = groebner.buchberger
+    numerator = monomial.hilbert_numerator
+
+    def counted_basis(gens, order=groebner.GREVLEX):
+        built[tuple(map(str, gens)), order] += 1
+        return basis(gens, order)
+
+    def counted_numerator(n, exps):
+        built[tuple(exps)] += 1
+        return numerator(n, exps)
+
+    monkeypatch.setattr(groebner, "buchberger", counted_basis)
+    monkeypatch.setattr(monomial, "hilbert_numerator", counted_numerator)
+    ring = PolyRing(("X", "Y", "Z", "W"))
+    N = CyclicModule(ring.ideal("XY", "XZ"))  # dimension 3
+    assert is_reducing_sop(ParamSequence.parse(ring, "X+Y; Z+W"), N).ok
+    # (XY, XZ), then one basis and one numerator for each of the two prefixes
+    assert sorted(built.values()) == [1] * 5, built
+    built.clear()
+    assert construct_reducing_part_in_prime(M, R.ideal("X", "Y"), 1, seed=5).ok
+    assert built and set(built.values()) == {1}, built
 
 
 def test_non_cm_module_reaches_the_socle_test(no_colon, M):

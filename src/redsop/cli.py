@@ -52,17 +52,18 @@ def _emit(report, human):
 
 
 def _cmd_run(args):
-    if args.expr is not None:
-        text = args.expr
-    elif args.target in (None, "-"):
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.target, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+    try:  # one UTF-8 check of the bytes given, whatever their source
+        if args.expr is not None:
+            data = os.fsencode(args.expr)  # undoes argv's surrogate escapes
+        elif args.target in (None, "-"):
+            data = sys.stdin.buffer.read()
+        else:
+            with open(args.target, "rb") as fh:
+                data = fh.read()
+        text = data.decode("utf-8")
+    except (OSError, UnicodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
         default_seed = _seed(args)
     except ValueError as exc:

@@ -34,8 +34,8 @@ from .sop import (
     CyclicModule,
     ParamSequence,
     _assoc_dim_witness,
-    _reducing_check,
     depth_oracle,
+    is_reducing_sop,
     random_homogeneous,
 )
 
@@ -168,21 +168,20 @@ def construct_reducing_part_in_prime(M, P, r, seed):
     if degree < 1:
         raise ValueError("P has no positive-degree generators")
     elems = []
-    Js = [M.ideal]  # the sections of elems, as _sections builds them
+    J = M.ideal
     attempts = 0
     for i in range(1, r + 1):
         for _ in range(RETRIES):
             attempts += 1
             x = _random_element_of(P, degree, rng)
-            Jx = Js[-1] + (x,)
-            if not x.is_zero() and _assoc_dim_witness(Js[-1], x, Jx) < d - i:
+            if not x.is_zero() and _assoc_dim_witness(J, x) < d - i:
                 break
         else:
             return ConstructionResult(False, None, attempts)
         elems.append(x)
-        Js.append(Jx)
+        J = J + (x,)
     xs = ParamSequence(M.ring, elems)
-    if not _reducing_check(xs, Js, d).ok:
+    if not is_reducing_sop(xs, M).ok:
         raise RuntimeError("stepwise construction failed the final verification")
     return ConstructionResult(True, xs, attempts)
 

@@ -1,9 +1,9 @@
 """Buchberger engine and the ideal toolbox built on top of it.
 
-Ideals cache one reduced Groebner basis per monomial order; the reduced
-basis is unique (monic generators, no term divisible by another leading
-term, sorted ascending by leading monomial), so recomputation from any
-permutation or rescaling of the generators returns the identical tuple.
+Ideals cache their reduced grevlex basis (other orders call buchberger);
+the reduced basis is unique (monic generators, no term divisible by
+another leading term, sorted ascending by leading monomial), so
+recomputation from any permutation or rescaling returns the same tuple.
 
 Inside the Buchberger kernel a monomial is one int (Monagan & Pearce
 2011): the order's weight rows (grevlex as partial sums e_1 + .. + e_k,
@@ -316,9 +316,11 @@ class _TagOrder:
 
 
 class Ideal:
-    """Finitely generated ideal of a :class:`PolyRing` with a basis cache."""
+    """Finitely generated ideal of a :class:`PolyRing` caching its grevlex basis,
+    its Hilbert numerator and its last sum: ``J + gens`` with equal ``gens`` returns
+    the ideal it built last time, so a walk builds each prefix ideal once."""
 
-    __slots__ = ("ring", "gens", "_gb", "_mono", "_hilb")
+    __slots__ = ("ring", "gens", "_gb", "_mono", "_hilb", "_sum")
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -332,21 +334,22 @@ class Ideal:
                 raise ValueError("ring mismatch")
             polys.append(g)
         self.gens = tuple(polys)
-        self._gb = {}
+        self._gb = None  # reduced grevlex basis, not computed yet
         self._mono = -1  # not computed yet
         self._hilb = None  # Hilbert numerator, not computed yet
+        # (gens, self + gens) of the last sum, not a dict: a walk extends the sum
+        # it accepted last, and a dict keeps rejected draws (160 a depth level) alive
+        self._sum = None
 
     # -- bases ----------------------------------------------------------
 
-    def groebner_basis(self, order=GREVLEX):
-        basis = self._gb.get(order)
-        if basis is None:
-            basis = buchberger(self.gens, order)
-            self._gb[order] = basis
-        return basis
+    def groebner_basis(self):
+        if self._gb is None:
+            self._gb = buchberger(self.gens)
+        return self._gb
 
-    def reduce(self, f, order=GREVLEX):
-        """Normal form of f against the reduced basis for the order.
+    def reduce(self, f):
+        """Normal form of f against the reduced grevlex basis.
 
         The one division entry point: the reduced basis is monic and each
         element starts with its leading term, so packed it gives the records
@@ -354,7 +357,7 @@ class Ideal:
         """
         if f.ring != self.ring:
             raise ValueError("ring mismatch")
-        basis = self.groebner_basis(order)
+        basis = self.groebner_basis()
 
         def run(packing, _):
             pack = packing.pack
@@ -364,7 +367,7 @@ class Ideal:
                           packing.guard)
             return {packing.unpack(m): c for m, c in rem.items()}
 
-        return Polynomial(f.ring, _packed(run, order, f.ring.n, [g.terms for g in (*basis, f)]),
+        return Polynomial(f.ring, _packed(run, GREVLEX, f.ring.n, [g.terms for g in (*basis, f)]),
                           _raw=True)
 
     def contains(self, f):
@@ -435,8 +438,11 @@ class Ideal:
     __hash__ = None
 
     def __add__(self, gens):
-        """J + (g1, ..., gk) for an iterable of generators of the same ring."""
-        return Ideal(self.ring, self.gens + tuple(gens))
+        """J + (g1, ..., gk); the ideal the last sum built when the generators are equal."""
+        gens = tuple(gens)
+        if self._sum is None or self._sum[0] != gens:
+            self._sum = gens, Ideal(self.ring, self.gens + gens)
+        return self._sum[1]
 
     # -- ideal operations --------------------------------------------------
 

@@ -282,12 +282,12 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
 
-    def leading_coeff(self, order=GREVLEX):
-        return self.terms[self.leading_monomial(order)]
+    def leading_coeff(self):
+        return self.terms[self.leading_monomial()]
 
-    def sorted_terms(self, order=GREVLEX):
-        """Terms as (monomial, coefficient), descending under the order."""
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=order.key, reverse=True)]
+    def sorted_terms(self):
+        """Terms as (monomial, coefficient), descending under grevlex."""
+        return [(m, self.terms[m]) for m in sorted(self.terms, key=GREVLEX.key, reverse=True)]
 
     # -- arithmetic ---------------------------------------------------
 

@@ -489,9 +489,9 @@ def _dispatch(session, seed, report):
     raise ValueError(f"unknown command {session.command!r}")
 
 
-def run_block(text, default_seed=None, timings=False):
+def run_block(text, default_seed=None):
     """Parse and run a session block; input errors become reports too."""
-    return run_block_with_output(text, default_seed, timings)[:2]
+    return run_block_with_output(text, default_seed)[:2]
 
 
 def run_block_with_output(text, default_seed=None, timings=False):

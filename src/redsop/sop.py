@@ -31,11 +31,10 @@ dim K is the pole order of that numerator at t = 1, read off grevlex
 leading-term ideals once per ideal.  _assoc_dim_witness is this one
 kernel test: depth cuts, regular sequences, the avoidance question and
 the last step of the Cohen-Macaulay test all call it.  A walk along a
-sequence reads one list of sections I, I + (x_1), ..., I + (x_1..x_r),
-each built once; _reducing_check reads its dimension check off the last
-and step i off sections i - 1 and i.  Across public calls the sections
-are rebuilt: random_sop, make_reducing's check and the last test of
-is_cm_reducing each build their own, so those numerators repeat.
+sequence reads the sections I, I + (x_1), ..., I + (x_1..x_r) through
+``+``, and an ideal keeps its last sum, so each section, with its basis
+and numerator, is built once: random_sop, make_reducing's check and the
+last test of is_cm_reducing share the sections of the sop they accept.
 
 A depth level whose first draw x is a zero-divisor runs one colon,
 Q = J : x: when (1 - t)^n divides N(J) - N(Q), the kernel Q/J is a
@@ -232,7 +231,7 @@ def max_assoc_dim_containing(x, N):
     must be homogeneous (HomogeneityError otherwise), as the Hilbert
     test needs.
     """
-    return _assoc_dim_witness(N.ideal, x, N.ideal + (x,))
+    return _assoc_dim_witness(N.ideal, x)
 
 
 def _difference(a, b):
@@ -255,14 +254,14 @@ def _pole_order(n, num):
     return n
 
 
-def _assoc_dim_witness(J, x, Jx):
-    """dim (0 :_{R/J} x) given Jx = J + (x): its pole order at t = 1, -1 for a non-zero-divisor.
+def _assoc_dim_witness(J, x):
+    """dim (0 :_{R/J} x): its pole order at t = 1, -1 for a non-zero-divisor.
 
     The one kernel test (see the module docstring); x must be homogeneous.
     """
     if not x.is_homogeneous():
         raise HomogeneityError(f"{x} is not homogeneous")
-    num = _difference(Jx.hilbert_numerator(),
+    num = _difference((J + (x,)).hilbert_numerator(),
                       times_one_minus(J.hilbert_numerator(), x.degree()))
     return _pole_order(J.ring.n, num) if any(num) else -1
 
@@ -295,35 +294,6 @@ def _monomial_prime_witness(J, x, dim):
     return min(primes, key=lambda P: P.sorted_vars())
 
 
-def _sections(J, xs):
-    """[J, J + (x_1), ..., J + (x_1..x_r)]: the quotients a walk along xs reads."""
-    Js = [J]
-    for x in xs:
-        Js.append(Js[-1] + (x,))
-    return Js
-
-
-def _reducing_check(xs, Js, d):
-    """The reducing check of xs on R/I, d = dim R/I, given Js = _sections(I, xs).
-
-    The dimension check reads Js[-1]; step i, for i <= min(r, d - 1),
-    reads Js[i - 1] and Js[i] (see is_reducing_sop).
-    """
-    dim = Js[-1].dim_quotient()
-    if dim != d - len(xs):
-        return ReducingCheck(False, ViolationWitness(
-            kind="not_system_of_parameters", dim=dim, ideal=Js[-1]))
-    for i in range(1, min(len(xs), d - 1) + 1):
-        J, x = Js[i - 1], xs[i - 1]
-        found = _assoc_dim_witness(J, x, Js[i])
-        if found >= d - i:
-            return ReducingCheck(False, ViolationWitness(
-                kind="associated_prime", dim=found, index=i, threshold=d - i,
-                ideal=J.quotient_ideal(J.saturation(x)),
-                prime=_monomial_prime_witness(J, x, found)))
-    return ReducingCheck(True)
-
-
 def is_reducing_sop(xs, M):
     """Decide whether xs is a reducing system of parameters of M, or part of one.
 
@@ -335,16 +305,37 @@ def is_reducing_sop(xs, M):
     already contradict the dimension drop of a system of parameters.  The
     literal-definition suite pins this equivalence on monomial corpora.
     """
-    if xs.r > M.d:
-        raise ValueError(f"sequence longer ({xs.r}) than dim M ({M.d})")
-    return _reducing_check(xs, _sections(M.ideal, xs), M.d)
+    d = M.d
+    if xs.r > d:
+        raise ValueError(f"sequence longer ({xs.r}) than dim M ({d})")
+    J = M.ideal
+    for x in xs:
+        J = J + (x,)
+    dim = J.dim_quotient()
+    if dim != d - xs.r:
+        return ReducingCheck(False, ViolationWitness(
+            kind="not_system_of_parameters", dim=dim, ideal=J))
+    J = M.ideal  # the step walk reads the sums the dimension walk built
+    for i in range(1, min(xs.r, d - 1) + 1):
+        x = xs[i - 1]
+        found = _assoc_dim_witness(J, x)
+        if found >= d - i:
+            return ReducingCheck(False, ViolationWitness(
+                kind="associated_prime", dim=found, index=i, threshold=d - i,
+                ideal=J.quotient_ideal(J.saturation(x)),
+                prime=_monomial_prime_witness(J, x, found)))
+        J = J + (x,)
+    return ReducingCheck(True)
 
 
 def is_regular_sequence(xs, M):
     """Each element a non-zero-divisor modulo its predecessors."""
-    Js = _sections(M.ideal, xs)
-    return (all(_assoc_dim_witness(J, x, Jx) < 0 for J, x, Jx in zip(Js, xs, Js[1:]))
-            and Js[-1].is_proper())
+    J = M.ideal
+    for x in xs:
+        if _assoc_dim_witness(J, x) >= 0:
+            return False
+        J = J + (x,)
+    return J.is_proper()
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +484,8 @@ def depth_with_certificate(M, seed=0):
     cuts = []
     while J.dim_quotient() > 0:
         for draw, x in enumerate(_ladder(ring, rng)):
-            Jx = J + (x,)
-            if _assoc_dim_witness(J, x, Jx) < 0:
-                J = Jx
+            if _assoc_dim_witness(J, x) < 0:
+                J = J + (x,)
                 cuts.append(x)
                 break
             if draw == 0 and _has_depth_zero(J, x):
@@ -530,6 +520,8 @@ def is_cm_reducing(M, seed):
     if not res.ok:
         raise RetryBudgetError("failed to build a reducing system of parameters")
     ys = res.sequence
-    Js = _sections(M.ideal, ys)
-    nzd = _assoc_dim_witness(Js[-2], ys[-1], Js[-1]) < 0
+    J = M.ideal
+    for y in ys.elems[:-1]:
+        J = J + (y,)
+    nzd = _assoc_dim_witness(J, ys[-1]) < 0
     return nzd, CmCertificate(M.d, ys, nzd)

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -330,12 +332,33 @@ def test_cli_env_seed(tmp_path, monkeypatch):
     assert json.loads(proc.stdout)["seed"] == 99
 
 
+NOT_UTF8 = b"ring [X] p=3\nideal X\xff\ndim\n"
+
+
 def test_cli_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
     from redsop.cli import main
 
     session = tmp_path / "session.txt"
-    session.write_bytes(b"ring [X] p=3\nideal X\xff\ndim\n")
+    session.write_bytes(NOT_UTF8)
     assert main(["run", str(session)]) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "utf-8" in err
+
+
+def test_cli_refuses_stdin_that_is_not_utf8(monkeypatch, capsys):
+    from redsop.cli import main
+
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8)))
+    assert main(["run", "-"]) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "utf-8" in err
+
+
+def test_cli_refuses_an_expression_that_is_not_utf8(capsys):
+    from redsop.cli import main
+
+    # the interpreter hands undecodable argv bytes over as surrogate escapes
+    assert main(["run", "-e", os.fsdecode(NOT_UTF8)]) == EXIT_INPUT_ERROR
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "utf-8" in err
 

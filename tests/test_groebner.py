@@ -26,6 +26,17 @@ def gb_strs(ideal_or_basis):
     return sorted(str(g) for g in basis)
 
 
+def test_an_ideal_keeps_its_last_sum_only(R):
+    J = R.ideal("XY", "XZ")
+    x, y = R.poly("X+Y+Z"), R.poly("Y")
+    Jx = J + (x,)
+    assert J + (x,) is Jx
+    Jy = J + (y,)
+    assert Jy is not Jx and J + (y,) is Jy
+    again = J + (x,)
+    assert again is not Jx and again == Jx
+
+
 def test_monomial_basis_already_reduced(R):
     assert gb_strs(buchberger([R.poly("XY"), R.poly("XZ")])) == ["X*Y", "X*Z"]
 

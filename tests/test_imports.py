@@ -1,7 +1,8 @@
 """Every name a redsop module imports is used in that module, every
 module-level definition is referenced somewhere in src, tests or bench
 (a private one in src itself), and so is every method or property of a
-redsop class."""
+redsop class; some call in src, tests or bench sets every parameter
+that has a default."""
 
 import ast
 import pathlib
@@ -158,3 +159,101 @@ def test_no_dead_methods():
                for p in sorted((ROOT / top).rglob("*.py"))]
     modules = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert dead_methods(modules, sources) == []
+
+
+def _defaulted(fn, method):
+    """(name, position or None) of each parameter of fn with a default.
+
+    A position counts the arguments a call passes, so a method's self or
+    cls is not counted; a keyword-only parameter has no position.
+    """
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    skip = int(method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                  for d in fn.decorator_list))
+    first = len(positional) - len(args.defaults)
+    found = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+    found += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def _calls(sources):
+    """(callee name, through an attribute, positional count, keywords) of every call.
+
+    The positional count is None after a ``*`` argument, and the keywords
+    are None after a ``**`` one: those may set any parameter.
+    """
+    found = []
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                name, attr = node.func.id, False
+            elif isinstance(node.func, ast.Attribute):
+                name, attr = node.func.attr, True
+            else:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            found.append((name, attr, None if starred else len(node.args),
+                          None if None in keywords else keywords))
+    return found
+
+
+def _sets(call, fn, cls, param, pos):
+    """Whether the call sets the parameter at pos of fn, a method of class cls or a function."""
+    name, attr, npos, keywords = call
+    if not (name == fn.name and (attr or cls is None)
+            or fn.name == "__init__" and name == cls):
+        return False
+    return (keywords is None or param in keywords
+            or pos is not None and (npos is None or pos < npos))
+
+
+def unset_parameters(module_sources, all_sources):
+    """name(parameter) for each defaulted parameter of a def in src that no call sets.
+
+    A call sets a parameter by keyword, by position or through ``*`` or
+    ``**``.  A method counts only calls through an attribute, so a bare
+    ``reduce(and_, ...)`` sets nothing of a method ``reduce``; a call of a
+    class counts for its ``__init__``.
+    """
+    calls = _calls(all_sources)
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = child.name if cls is None else f"{cls}.{child.name}"
+                found.extend(f"{qualname}({param})"
+                             for param, pos in _defaulted(child, cls is not None)
+                             if not any(_sets(c, child, cls, param, pos) for c in calls))
+                visit(child, None)
+            else:
+                visit(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    for source in module_sources:
+        visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_detector_sees_unset_parameters():
+    module = ("def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n"
+              "def g(a, b=1):\n    return a\n"
+              "class A:\n"
+              "    def __init__(self, x=0, y=1):\n        self.x = x\n"
+              "    def reduce(self, f, order=None):\n        return f\n"
+              "    def h(self, p=0):\n        return p\n"
+              "    @staticmethod\n    def s(p=0):\n        return p\n")
+    caller = ("f(1, 2, d=4)\ng(*args)\nA(y=2)\nreduce(and_, items)\n"
+              "A().h(**options)\nA.s(1)\n")
+    assert unset_parameters([module], [module, caller]) == [
+        "A.__init__(x)", "A.reduce(order)", "f(c)", "f(e)"]
+
+
+def test_no_unset_parameters():
+    sources = [p.read_text() for top in ("src", "tests", "bench")
+               for p in sorted((ROOT / top).rglob("*.py"))]
+    modules = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unset_parameters(modules, sources) == []

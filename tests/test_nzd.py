@@ -81,7 +81,7 @@ def _saturate_first(x, J):
 def test_hilbert_test_agrees_with_the_colon_route():
     seen = {True: 0, False: 0}
     for J, x in _fixtures():
-        found = _assoc_dim_witness(J, x, J + (x,))
+        found = _assoc_dim_witness(J, x)
         nzd = found < 0
         assert nzd == (J.quotient(x) == J), (str(J), str(x))
         seen[nzd] += 1
@@ -94,7 +94,7 @@ def test_non_homogeneous_element_is_refused():
     J = R.ideal("XY")
     x = R.poly("X + 1")
     with pytest.raises(ValueError):
-        _assoc_dim_witness(J, x, J + (x,))
+        _assoc_dim_witness(J, x)
 
 
 class ColonCalled(AssertionError):
@@ -167,6 +167,32 @@ def test_each_prefix_ideal_is_built_once(monkeypatch, R, M):
     assert built and set(built.values()) == {1}, built
 
 
+def test_cm_test_builds_each_prefix_of_its_sop_once(monkeypatch, M):
+    """random_sop, make_reducing's check and the last test share the prefix
+    ideals of the sop, with their numerators."""
+    built = collections.Counter()
+    numerators = collections.Counter()
+    init = Ideal.__init__
+    numerator = monomial.hilbert_numerator
+
+    def counted_init(self, ring, gens):
+        init(self, ring, gens)
+        built[tuple(map(str, self.gens))] += 1
+
+    def counted_numerator(n, exps):
+        numerators[tuple(exps)] += 1
+        return numerator(n, exps)
+
+    monkeypatch.setattr(Ideal, "__init__", counted_init)
+    monkeypatch.setattr(monomial, "hilbert_numerator", counted_numerator)
+    ok, cert = is_cm_reducing(M, seed=21)  # make_reducing keeps random_sop's sop
+    assert not ok and cert.sop.r == 2
+    prefixes = [tuple(map(str, M.ideal.gens + cert.sop.elems[:i])) for i in (1, 2)]
+    assert [built[p] for p in prefixes] == [1, 1], built
+    # the numerators of (XY, XZ) and of its two prefix sums
+    assert len(numerators) == 3 and set(numerators.values()) == {1}, numerators
+
+
 def test_non_cm_module_reaches_the_socle_test(no_colon, M):
     with pytest.raises(ColonCalled):
         depth_with_certificate(M, seed=5)
@@ -227,7 +253,7 @@ def test_socle_fallback_when_the_kernel_has_infinite_length(socle_colons):
     R = PolyRing(("X", "Y", "Z"))
     J = R.ideal("X^2", "XY", "Z")  # (J : X)/J holds every power of Y; X spans the socle
     X = R.poly("X")
-    assert _assoc_dim_witness(J, X, J + (X,)) == 1
+    assert _assoc_dim_witness(J, X) == 1
     assert _has_depth_zero(J, X)
     assert socle_colons == [str(J)]
 

@@ -8,6 +8,7 @@ generator-count or degree bound may pass BOUND_LIMIT, forced or not.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -55,6 +56,7 @@ class CorpusSpec:
             raise ValueError(f"generator count and degree bounds must be at most {BOUND_LIMIT}")
 
 
+@functools.lru_cache(maxsize=64)
 def default_ring(n, p=32003):
     """The ring over the first n names of the variable pool, 1 <= n <= 8."""
     if not 1 <= n <= len(_VAR_POOL):

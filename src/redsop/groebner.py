@@ -39,10 +39,11 @@ generator set gives its own exponents and needs no basis, any other
 ideal the leading monomials of its reduced grevlex basis.  The same
 search returns the variables lying in every largest free set
 (:func:`monomial_dim_core`), which tells which monomials lower the
-dimension by one.  The Hilbert test for non-zero-divisors reads the
-same accessor.  A monomial generator set also answers ``is_unit``
-without a basis: it generates the unit ideal exactly when one generator
-is a nonzero constant.
+dimension by one.  The search runs once per sorted set of minimal
+supports, held in a memo of 256 entries.  The Hilbert test for
+non-zero-divisors reads the same accessor.  A monomial generator set
+also answers ``is_unit`` without a basis: it generates the unit ideal
+exactly when one generator is a nonzero constant.
 """
 
 from __future__ import annotations
@@ -251,18 +252,38 @@ def monomial_dim_core(n, exps):
     Herzog, Cohen-Macaulay Rings, 5.1).  The core is the bit mask of the
     variables lying in every largest free set: adding a nonconstant
     monomial lowers the dimension, by exactly one, when its support lies
-    inside the core.  Supports are bit masks; while the free set contains
-    a support, some variable of that support must leave it, and the
-    search branches on each, keeping the largest size and the AND of the
-    cores of the branches reaching it.  Raises ValueError once it visits
-    more than DIM_SEARCH_BUDGET free sets.
+    inside the core.  Both depend only on the minimal supports, as bit
+    masks, so the search runs once per sorted set of them
+    (:func:`_dim_core`, a bounded memo); permuted, repeated or redundant
+    generators read the same entry.  Raises ValueError once the search
+    visits more than DIM_SEARCH_BUDGET free sets, on every call.
     """
-    supports = []  # (mask, its one-variable masks)
+    masks = set()
     for m in exps:
-        bits = tuple(1 << i for i, e in enumerate(m) if e)
-        if not bits:  # a nonzero constant generator
+        mask = 0
+        for i, e in enumerate(m):
+            if e:
+                mask |= 1 << i
+        if not mask:  # a nonzero constant generator
             return -1, 0
-        supports.append((sum(bits), bits))
+        masks.add(mask)
+    minimal = []
+    for mask in sorted(masks, key=int.bit_count):
+        if not any(s & mask == s for s in minimal):
+            minimal.append(mask)
+    return _dim_core(n, tuple(sorted(minimal)))
+
+
+@functools.lru_cache(maxsize=256)
+def _dim_core(n, supports):
+    """monomial_dim_core of the sorted minimal support masks.
+
+    While the free set contains a support, some variable of that support
+    must leave it, and the search branches on each, keeping the largest
+    size and the AND of the cores of the branches reaching it.  The cache
+    keeps no raised error, so an over-budget search raises every time.
+    """
+    supports = [(s, tuple(1 << i for i in range(n) if s >> i & 1)) for s in supports]
     memo = {}
 
     def largest(free):

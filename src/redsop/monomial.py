@@ -1,11 +1,17 @@
 """Combinatorial brute-force oracle for monomial ideals.
 
 Everything here is exact and finite: irreducible decomposition by
-generator splitting, associated primes as radicals of the irredundant
-components, membership of arbitrary polynomials in monomial primes, and
-localization at a monomial prime by turning the outside variables into
-units.  The rest of the package cross-validates its general-purpose
-predicates against these answers.
+generator splitting (:func:`irreducible_decomposition`, over a vector
+of pure powers and a list of mixed generators), associated primes as
+radicals of the irredundant components, membership of arbitrary
+polynomials in monomial primes, and localization at a monomial prime by
+turning the outside variables into units.  The rest of the package
+cross-validates its general-purpose predicates against these answers.
+
+Per-ring constants are built once, in bounded memos: the 2^n monomial
+primes indexed by variable bit mask, which :func:`ass_monomial` reads,
+their sorted tuple (:func:`monomial_primes`), and the ring of each
+localization (:func:`_restriction`).
 
 Hilbert numerators of monomial ideals (:func:`hilbert_numerator`) come
 from the same exponent tuples; the engine reads them off leading-term
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import and_
 
 from .groebner import Ideal, _minimalize_monomials, _monomial_ideal
@@ -63,10 +69,6 @@ class IrreducibleComponent:
     ring: PolyRing
     powers: tuple  # ((var_index, exponent), ...) sorted by index
 
-    def radical(self):
-        names = frozenset(self.ring.var_names[i] for i, _ in self.powers)
-        return MonomialPrime(self.ring, names)
-
     def to_ideal(self):
         n = self.ring.n
         exps = []
@@ -75,15 +77,6 @@ class IrreducibleComponent:
             m[i] = a
             exps.append(tuple(m))
         return _monomial_ideal(self.ring, exps)
-
-    def contains_component(self, other):
-        """Ideal containment other <= self, by per-variable exponents.
-
-        Each generator x_i^(a_i) of ``other`` must lie in ``self``, i.e.
-        ``self`` must bound the same variable by a smaller-or-equal power.
-        """
-        mine = dict(self.powers)
-        return all(i in mine and mine[i] <= a for i, a in other.powers)
 
     def __str__(self):
         parts = []
@@ -104,54 +97,65 @@ def monomial_exponents_strict(J):
 
 
 def irreducible_decomposition(J):
-    """Irredundant irreducible components of a proper monomial ideal.
+    """Irredundant irreducible components of a proper monomial ideal,
+    sorted by (number of generators, generators).
 
-    Splits any generator with two or more variables in its support into
-    the two ideals obtained by separating one pure power, recursing with
-    a memo keyed on the minimalized generator set, then filters pairwise
-    containments (sound here because irreducible monomial ideals are
-    meet-prime among monomial ideals).
+    A node is a vector of pure powers (0 where a variable has none) and a
+    list of mixed generators, none divisible by a pure power.  It splits
+    the first mixed generator g = x_i^a * h, with i its first variable, by
+    (N, g) = (N, x_i^a) cap (N, h): the first branch drops the mixed
+    generators that x_i^a divides, the second puts h in place of g, as a
+    pure power when one variable is left.  A node with no mixed generator
+    is a component.  A leaf containing another leaf is dropped at the end,
+    which leaves the unique irredundant decomposition (irreducible monomial
+    ideals are meet-irreducible).  Minimal generators are found once, at
+    the root.
     """
-    exps = monomial_exponents_strict(J)
-    memo = {}
-
-    def split(fs):
-        cached = memo.get(fs)
-        if cached is not None:
-            return cached
-        gens = _minimalize_monomials(list(fs))
-        target = None
-        for g in gens:
-            support = [i for i, e in enumerate(g) if e]
-            if len(support) >= 2:
-                target = (g, support[0])
-                break
-        if target is None:
-            comp = tuple((i, e) for m in gens for i, e in enumerate(m) if e)
-            result = frozenset({tuple(sorted(comp))})
+    ring = J.ring
+    pure = [0] * ring.n
+    mixed = []
+    for m in _minimalize_monomials(monomial_exponents_strict(J)):
+        support = [i for i, e in enumerate(m) if e]
+        if len(support) == 1:
+            pure[support[0]] = m[support[0]]
         else:
-            g, i0 = target
-            pure = tuple(e if i == i0 else 0 for i, e in enumerate(g))
-            rest = tuple(0 if i == i0 else e for i, e in enumerate(g))
-            others = [m for m in gens if m != g]
-            result = split(frozenset(others + [pure])) | split(frozenset(others + [rest]))
-        memo[fs] = result
-        return result
+            mixed.append(m)
+    leaves = set()
 
-    raw = split(frozenset(_minimalize_monomials(exps)))
-    comps = [IrreducibleComponent(J.ring, powers) for powers in raw]
-    irredundant = []
-    for c in comps:
-        if any(o is not c and c.contains_component(o) and c.powers != o.powers for o in comps):
-            continue
-        irredundant.append(c)
-    # exact duplicates already collapsed by the frozenset; drop strict containments
-    return sorted(irredundant, key=lambda c: (len(c.powers), c.powers))
+    def split(pure, mixed):
+        if not mixed:
+            leaves.add(pure)
+            return
+        g, rest = mixed[0], mixed[1:]
+        i = next(i for i, e in enumerate(g) if e)
+        a = g[i]
+        split(pure[:i] + (a,) + pure[i + 1:], [m for m in rest if m[i] < a])
+        h = g[:i] + (0,) + g[i + 1:]
+        support = [j for j, e in enumerate(h) if e]
+        if len(support) == 1:
+            j = support[0]
+            b = h[j]
+            split(pure[:j] + (b,) + pure[j + 1:], [m for m in rest if m[j] < b])
+        else:
+            split(pure, [h] + rest)
+
+    split(tuple(pure), mixed)
+    kept = leaves if len(leaves) == 1 else [
+        c for c in leaves if not any(o != c and all(0 < e <= f for e, f in zip(c, o) if f)
+                                     for o in leaves)]
+    return [IrreducibleComponent(ring, powers) for powers in sorted(
+        (tuple((i, e) for i, e in enumerate(c) if e) for c in kept),
+        key=lambda powers: (len(powers), powers))]
 
 
 def ass_monomial(J):
-    """Associated primes of R/J for proper monomial J."""
-    return {c.radical() for c in irreducible_decomposition(J)}
+    """Associated primes of R/J for proper monomial J: the radicals of its components."""
+    ring = J.ring
+    masks = {sum(1 << i for i, _ in c.powers) for c in irreducible_decomposition(J)}
+    if ring.n <= MONOMIAL_PRIME_VARS:
+        table = _primes_by_mask(ring)
+        return {table[mask] for mask in masks}
+    return {_prime_of_mask(ring, mask) for mask in masks}
 
 
 def oracle_dim(J):
@@ -198,9 +202,7 @@ def localize_at_monomial_prime(J, P):
     exps = J.monomial_exponents()
     if exps is None:
         raise ValueError("non-monomial generator")
-    ring = J.ring
-    kept = [i for i, n in enumerate(ring.var_names) if n in P.vars]
-    sub = PolyRing(tuple(ring.var_names[i] for i in kept), ring.p)
+    kept, sub = _restriction(P)
     mapped = []
     for m in exps:
         restricted = tuple(m[i] for i in kept)
@@ -210,13 +212,19 @@ def localize_at_monomial_prime(J, P):
     return _monomial_ideal(sub, mapped)
 
 
+@lru_cache(maxsize=256)
+def _restriction(P):
+    """(indices of P's variables, the ring in them) for localizing at P."""
+    ring = P.ring
+    kept = tuple(i for i, n in enumerate(ring.var_names) if n in P.vars)
+    return kept, PolyRing(tuple(ring.var_names[i] for i in kept), ring.p)
+
+
 def restrict_monomial_poly(f, P):
     """Image of a monomial under localization at P, over the subring."""
     if len(f.terms) != 1:
         raise ValueError("expected a monomial")
-    ring = f.ring
-    kept = [i for i, n in enumerate(ring.var_names) if n in P.vars]
-    sub = PolyRing(tuple(ring.var_names[i] for i in kept), ring.p)
+    kept, sub = _restriction(P)
     (m, c), = f.terms.items()
     return Polynomial(sub, {tuple(m[i] for i in kept): c})
 
@@ -293,16 +301,24 @@ def times_one_minus(num, e):
     return out
 
 
-def monomial_primes(ring):
-    """All 2^n monomial primes, the zero prime included; n > MONOMIAL_PRIME_VARS raises."""
+def _prime_of_mask(ring, mask):
+    """The prime generated by the variables in the bit mask."""
+    return MonomialPrime(ring, frozenset(n for i, n in enumerate(ring.var_names) if mask >> i & 1))
+
+
+@lru_cache(maxsize=64)
+def _primes_by_mask(ring):
+    """All 2^n monomial primes of a ring of at most MONOMIAL_PRIME_VARS variables, by bit mask."""
     names = ring.var_names
     if len(names) > MONOMIAL_PRIME_VARS:
         raise ValueError(f"monomial primes are listed for at most {MONOMIAL_PRIME_VARS} variables")
-    out = []
-    for mask in range(1 << len(names)):
-        sub = frozenset(n for i, n in enumerate(names) if mask >> i & 1)
-        out.append(MonomialPrime(ring, sub))
-    return sorted(out, key=lambda p: (len(p.vars), p.sorted_vars()))
+    return tuple(_prime_of_mask(ring, mask) for mask in range(1 << len(names)))
+
+
+@lru_cache(maxsize=64)
+def monomial_primes(ring):
+    """All 2^n monomial primes, the zero prime included; n > MONOMIAL_PRIME_VARS raises."""
+    return tuple(sorted(_primes_by_mask(ring), key=lambda p: (len(p.vars), p.sorted_vars())))
 
 
 def monomial_primes_over(J):

@@ -5,6 +5,7 @@ import pytest
 
 from redsop import CyclicModule, corpus
 from redsop.corpus import greedy_monomial_sequence, module_stream
+from redsop.suites import run_suites
 
 # SHA-256 of every greedy sequence drawn below, one line per call
 GREEDY_DIGEST = "76a7579921b6fec992ded2be31c8bab8c16f19a1fda145493e3d444e1d2c137a"
@@ -29,6 +30,22 @@ def test_greedy_sequences_are_pinned():
     assert any(line.endswith("| None") for line in lines)
     assert any(not line.endswith("| None") for line in lines)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GREEDY_DIGEST
+
+
+# (instances, checks) of the monomial-oracle suites at seed 1 and count 300,
+# recorded before the oracle's decomposition and dimension memo were rewritten
+MONOMIAL_SUITE_COUNTS = {
+    "reducing-literal": (300, 300),
+    "localization": (300, 549),
+    "zero-divisor": (300, 385),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONOMIAL_SUITE_COUNTS))
+def test_monomial_suite_draws_are_pinned(name):
+    res = run_suites([name], 1, 300)[0]
+    assert res.passed
+    assert (res.instances, res.checks) == MONOMIAL_SUITE_COUNTS[name]
 
 
 def test_greedy_sequences_need_a_monomial_module(R):

@@ -14,7 +14,7 @@ from redsop import (
     monomial_intersection,
     oracle_dim,
 )
-from redsop.corpus import default_ring, random_monomial_ideal
+from redsop.corpus import CorpusSpec, default_ring, fixtures, random_monomial_ideal
 from redsop.monomial import (
     is_zero_divisor_oracle,
     monomial_primes,
@@ -161,6 +161,35 @@ def test_decomposition_soundness_random():
             for c in rest[1:]:
                 inter = monomial_intersection(inter, c.to_ideal())
             assert inter != J
+
+
+def _powers_contain(big, small):
+    """Whether the irreducible ideal with generators ``small`` lies inside the one with ``big``."""
+    mine = dict(big)
+    return all(i in mine and mine[i] <= a for i, a in small)
+
+
+def test_ass_past_the_prime_table():
+    ring = PolyRing(tuple(f"x{i}" for i in range(10)))
+    assert prime_sets(ass_monomial(ring.ideal("x0*x9", "x5^2"))) == {
+        frozenset({"x0", "x5"}), frozenset({"x5", "x9"})}
+
+
+def test_decomposition_properties_in_one_to_six_variables():
+    for n in range(1, 7):
+        spec = CorpusSpec(n=n, max_gens=7, max_degree=4, count=40, seed=19 + n, force=True)
+        for J in fixtures(spec):
+            comps = irreducible_decomposition(J)
+            inter = comps[0].to_ideal()
+            for c in comps[1:]:
+                inter = monomial_intersection(inter, c.to_ideal())
+            assert inter == J
+            for a in comps:
+                assert not any(b is not a and _powers_contain(a.powers, b.powers) for b in comps)
+            keys = [(len(c.powers), c.powers) for c in comps]
+            assert keys == sorted(set(keys))
+            radicals = {frozenset(J.ring.var_names[i] for i, _ in c.powers) for c in comps}
+            assert prime_sets(ass_monomial(J)) == radicals
 
 
 def test_ass_localization_law_random():

@@ -1,6 +1,6 @@
 import pytest
 
-from redsop import Ideal, Polynomial, PolyRing, oracle_dim
+from redsop import Ideal, Polynomial, PolyRing, groebner, oracle_dim
 from redsop.groebner import monomial_dim, monomial_dim_core
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -68,3 +68,32 @@ def test_core_edge_cases():
     pairs = [tuple(1 if i // 2 == k else 0 for i in range(24)) for k in range(12)]
     with pytest.raises(ValueError, match="too large"):
         monomial_dim_core(24, pairs)
+
+
+def test_dimension_memo_reads_supports_not_generators():
+    exps = [(1, 1, 0, 0), (0, 2, 1, 0), (0, 0, 1, 3)]
+    want = monomial_dim_core(4, exps)
+    assert monomial_dim_core(4, exps[::-1]) == want
+    assert monomial_dim_core(4, exps + exps[:1]) == want
+    # multiples add supports that contain a generator's support
+    assert monomial_dim_core(4, exps + [(2, 1, 1, 0), (0, 1, 2, 1)]) == want
+    assert monomial_dim_core(4, [(3, 1, 0, 0), (0, 1, 1, 0), (0, 0, 2, 1)]) == want
+
+
+def test_over_budget_search_raises_every_time():
+    pairs = [tuple(1 if i // 2 == k else 0 for i in range(24)) for k in range(12)]
+    hits = groebner._dim_core.cache_info().hits
+    for _ in range(3):
+        with pytest.raises(ValueError, match="too large"):
+            monomial_dim_core(24, pairs)
+    assert groebner._dim_core.cache_info().hits == hits
+
+
+def test_dimension_memo_stays_bounded():
+    bound = groebner._dim_core.cache_info().maxsize
+    for k in range(1, bound + 50):
+        # the variables of k's binary digits: a different set of minimal supports for each k
+        exps = [tuple(int(v == i) for v in range(12)) for i in range(12) if k >> i & 1]
+        assert monomial_dim_core(12, exps) == (12 - k.bit_count(), (1 << 12) - 1 - k)
+        assert groebner._dim_core.cache_info().currsize <= bound
+    assert groebner._dim_core.cache_info().currsize == bound

@@ -54,6 +54,8 @@ def _emit(report, human):
 def _cmd_run(args):
     try:  # one UTF-8 check of the bytes given, whatever their source
         if args.expr is not None:
+            if args.target is not None:
+                raise ValueError("give a session file or -e TEXT, not both")
             data = os.fsencode(args.expr)  # undoes argv's surrogate escapes
         elif args.target in (None, "-"):
             data = sys.stdin.buffer.read()
@@ -61,7 +63,7 @@ def _cmd_run(args):
             with open(args.target, "rb") as fh:
                 data = fh.read()
         text = data.decode("utf-8")
-    except (OSError, UnicodeError) as exc:
+    except (OSError, ValueError) as exc:  # UnicodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .groebner import _monomial_ideal, monomial_dim_core
 from .poly import Polynomial, PolyRing, monomials_of_degree
-from .sop import CyclicModule
+from .sop import CyclicModule, ParamSequence
 
 _VAR_POOL = ("X", "Y", "Z", "W", "V", "U", "T", "S")
 
@@ -139,10 +139,10 @@ def random_homogeneous_element(ring, rng, max_degree=3):
 def greedy_monomial_sequence(M, length, rng):
     """Monomial sequence dropping the dimension by one at every step.
 
-    Builds part of a system of parameters out of monomials when the
-    candidate pool allows it; returns None when some step gets stuck
-    (many modules admit no monomial parameters at all).  M must be a
-    monomial module.  The candidates of a step are each x_i and x_i^2
+    Builds part of a system of parameters out of monomials, as a
+    :class:`ParamSequence`, when the candidate pool allows it; returns
+    None when some step gets stuck (many modules admit no monomial
+    parameters at all).  M must be a monomial module.  The candidates of a step are each x_i and x_i^2
     and 24 random monomials of degree at most 3.  Each step runs
     :func:`monomial_dim_core` once on the exponents of its ideal plus
     the steps so far and takes the first shuffled candidate whose
@@ -172,4 +172,4 @@ def greedy_monomial_sequence(M, length, rng):
             return None
         elems.append(Polynomial(ring, {step: 1}))
         exps.append(step)
-    return elems
+    return ParamSequence(ring, elems)

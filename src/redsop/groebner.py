@@ -190,6 +190,18 @@ def _buchberger_raw(polys, packing, p):
     return basis
 
 
+def _element(ring, g, text=True):
+    """g as an element of ring: text is parsed when ``text`` is set, anything
+    else that is not a Polynomial is a TypeError and another ring a ValueError."""
+    if text and isinstance(g, str):
+        g = ring.poly(g)
+    if not isinstance(g, Polynomial):
+        raise TypeError(f"expected Polynomial, got {type(g).__name__}")
+    if g.ring != ring:
+        raise ValueError("ring mismatch")
+    return g
+
+
 def buchberger(gens, order=GREVLEX):
     """Unique reduced Groebner basis of the given generators.
 
@@ -200,12 +212,9 @@ def buchberger(gens, order=GREVLEX):
     gens = list(gens)
     if not gens:
         return ()
-    ring = gens[0].ring
+    ring = getattr(gens[0], "ring", None)
     for g in gens:
-        if not isinstance(g, Polynomial):
-            raise TypeError(f"expected Polynomial, got {type(g).__name__}")
-        if g.ring != ring:
-            raise ValueError("ring mismatch")
+        _element(ring, g, text=False)
     key = (ring, order, tuple(_poly_key(g.terms) for g in gens))
     hit = _GB_CACHE.get(key)
     if hit is not None:
@@ -345,16 +354,7 @@ class Ideal:
 
     def __init__(self, ring, gens):
         self.ring = ring
-        polys = []
-        for g in gens:
-            if isinstance(g, str):
-                g = ring.poly(g)
-            if not isinstance(g, Polynomial):
-                raise TypeError(f"expected Polynomial, got {type(g).__name__}")
-            if g.ring != ring:
-                raise ValueError("ring mismatch")
-            polys.append(g)
-        self.gens = tuple(polys)
+        self.gens = tuple([_element(ring, g) for g in gens])
         self._gb = None  # reduced grevlex basis, not computed yet
         self._mono = -1  # not computed yet
         self._hilb = None  # Hilbert numerator, not computed yet
@@ -467,14 +467,6 @@ class Ideal:
 
     # -- ideal operations --------------------------------------------------
 
-    def _element(self, f):
-        """f as an element of this ring: text is parsed, other rings refused."""
-        if isinstance(f, str):
-            f = self.ring.poly(f)
-        if f.ring != self.ring:
-            raise ValueError("ring mismatch")
-        return f
-
     def quotient(self, f):
         """Colon ideal (J : f) = {g : g*f in J}."""
         return self._colon(f, saturate=False)
@@ -502,7 +494,7 @@ class Ideal:
 
     def _colon(self, f, saturate):
         """(J : f^inf) when saturate, else (J : f): the monomial shortcut or the tag route."""
-        f = self._element(f)
+        f = _element(self.ring, f)
         if f.is_zero():
             raise ValueError("colon by the zero polynomial")
         if f.degree() == 0:
@@ -568,7 +560,7 @@ class Ideal:
 
     def radical_contains(self, f):
         """Membership f in rad(J): whether the saturation (J : f^inf) is the unit ideal."""
-        f = self._element(f)
+        f = _element(self.ring, f)
         return f.is_zero() or self.saturation(f).is_unit()
 
     def dim_quotient(self):

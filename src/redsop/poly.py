@@ -11,7 +11,7 @@ beyond a memo of the primality check on the characteristic.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, le
 
@@ -150,10 +150,13 @@ class PolyRing:
 
     var_names: tuple[str, ...]
     p: int = 32003
+    # len(var_names), read on every monomial built; not compared, hashed or shown
+    n: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         names = tuple(self.var_names)
         object.__setattr__(self, "var_names", names)
+        object.__setattr__(self, "n", len(names))
         if len(names) < 1:
             raise ValueError("a ring needs at least one variable")
         if len(set(names)) != len(names):
@@ -167,10 +170,6 @@ class PolyRing:
             raise ValueError(f"characteristic must be below 2^64, got {self.p}")
         if self.p != 0 and not _is_prime(self.p):
             raise ValueError(f"characteristic must be 0 or a prime, got {self.p}")
-
-    @property
-    def n(self):
-        return len(self.var_names)
 
     def coeff(self, a):
         """Canonicalize a scalar into the coefficient field."""
@@ -217,8 +216,7 @@ class PolyRing:
     def ideal(self, *gens):
         from .groebner import Ideal
 
-        polys = [self.poly(g) if isinstance(g, str) else g for g in gens]
-        return Ideal(self, polys)
+        return Ideal(self, gens)
 
     def irrelevant_ideal(self):
         """The ideal generated by all variables (the maximal graded ideal)."""

@@ -396,15 +396,6 @@ def _degree_block_transform(xs, rng):
     return ParamSequence(ring, tuple(new_elems[i] for i in perm))
 
 
-def _better(old, new):
-    """Prefer the witness showing the deepest progress."""
-    if old is None:
-        return new
-    if new is None:
-        return old
-    return new if (new.index or 0) > (old.index or 0) else old
-
-
 def make_reducing(xs, M, seed):
     """Rearrange a system of parameters, or part of one, into a reducing one.
 
@@ -428,7 +419,8 @@ def make_reducing(xs, M, seed):
             return ConstructionResult(True, ys, attempt)
         if check.witness.kind == "not_system_of_parameters":
             raise ValueError("input is not part of a system of parameters")
-        best = _better(best, check.witness)
+        w = check.witness  # keep the one showing the deepest progress
+        best = w if best is None or (w.index or 0) > (best.index or 0) else best
     return ConstructionResult(False, None, tries, best)
 
 

@@ -363,6 +363,19 @@ def test_cli_refuses_an_expression_that_is_not_utf8(capsys):
     assert out == "" and err.startswith("error: ") and "utf-8" in err
 
 
+@pytest.mark.parametrize("target", ["file", "-"])
+def test_cli_refuses_a_session_source_together_with_an_expression(target, tmp_path, capsys):
+    from redsop.cli import main
+
+    session = tmp_path / "session.txt"
+    session.write_text(FIXTURE + "dim\n")
+    source = str(session) if target == "file" else "-"
+    for argv in (["run", source, "-e", FIXTURE + "dim\n"], ["run", "-e", "dim", source]):
+        assert main(argv) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "not both" in err
+
+
 def test_cli_human_mode(capsys):
     from redsop.cli import main
 

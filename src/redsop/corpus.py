@@ -1,7 +1,10 @@
 """Deterministic seeded corpora: random monomial ideals and sequences.
 
 All sampling goes through explicit :class:`random.Random` instances
-(Mersenne Twister), so a seed pins every fixture byte for byte.  Bounds
+(Mersenne Twister), so a seed pins every fixture byte for byte.  Hot
+draws read ``rng.getrandbits`` with ``randrange``'s rejection rule
+(:func:`_below`), consuming the stream exactly as ``randrange``,
+``randint`` and ``shuffle`` would; a test pins them together.  Bounds
 default to desk scale and are enforced unless ``force`` is set; no
 generator-count or degree bound may pass BOUND_LIMIT, forced or not.
 """
@@ -11,8 +14,9 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from operator import mul
 
-from .groebner import _monomial_ideal, monomial_dim_core
+from .groebner import _dim_core, _minimal_supports, _monomial_ideal
 from .poly import Polynomial, PolyRing, monomials_of_degree
 from .sop import CyclicModule, ParamSequence
 
@@ -64,11 +68,32 @@ def default_ring(n, p=32003):
     return PolyRing(_VAR_POOL[:n], p)
 
 
+def _below(bits, n):
+    """``rng.randrange(n)`` from ``bits = rng.getrandbits``: n.bit_length() bits until < n."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _shuffle(bits, x):
+    """``rng.shuffle(x)``: Fisher-Yates from the end, each swap index drawn by :func:`_below`."""
+    for i in range(len(x) - 1, 0, -1):
+        j = _below(bits, i + 1)
+        x[i], x[j] = x[j], x[i]
+
+
 def random_monomial_exact(rng, n, deg):
-    """Random exponent tuple of total degree exactly ``deg``."""
+    """Random exponent tuple of total degree exactly ``deg``: each unit goes to
+    ``rng.randrange(n)``, :func:`_below` inlined as this is the hottest draw."""
+    bits, k = rng.getrandbits, n.bit_length()
     e = [0] * n
     for _ in range(deg):
-        e[rng.randrange(n)] += 1
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        e[r] += 1
     return tuple(e)
 
 
@@ -78,12 +103,12 @@ def random_monomial(rng, n, max_degree, squarefree=False):
         size = rng.randint(1, n)
         chosen = rng.sample(range(n), size)
         return tuple(1 if i in chosen else 0 for i in range(n))
-    return random_monomial_exact(rng, n, rng.randint(1, max_degree))
+    return random_monomial_exact(rng, n, 1 + _below(rng.getrandbits, max_degree))
 
 
 def random_monomial_ideal(ring, rng, max_gens, max_degree, squarefree=False):
     """Random proper monomial ideal with minimalized generators."""
-    k = rng.randint(1, max_gens)
+    k = 1 + _below(rng.getrandbits, max_gens)
     exps = [random_monomial(rng, ring.n, max_degree, squarefree) for _ in range(k)]
     return _monomial_ideal(ring, exps)
 
@@ -143,33 +168,30 @@ def greedy_monomial_sequence(M, length, rng):
     :class:`ParamSequence`, when the candidate pool allows it; returns
     None when some step gets stuck (many modules admit no monomial
     parameters at all).  M must be a monomial module.  The candidates of a step are each x_i and x_i^2
-    and 24 random monomials of degree at most 3.  Each step runs
-    :func:`monomial_dim_core` once on the exponents of its ideal plus
-    the steps so far and takes the first shuffled candidate whose
-    support lies inside the core, which is exactly a candidate lowering
-    the dimension by one.
+    and 24 random monomials of degree at most 3.  Each step runs the
+    dimension search (:func:`_dim_core`) once on the minimal supports of
+    its ideal plus the steps so far, carried from step to step, and takes
+    the first shuffled candidate whose support lies inside the core, which
+    is exactly a candidate lowering the dimension by one.
     """
     ring = M.ring
+    n = ring.n
     exps = M.ideal.monomial_exponents()
     if exps is None:
         raise ValueError("greedy monomial sequences need a monomial module")
-    exps = list(exps)
+    supports = _minimal_supports(exps)
+    powers = [tuple(e if i == v else 0 for i in range(n)) for v in range(n) for e in (1, 2)]
     elems = []
     for _ in range(length):
-        candidates = []
-        for v in range(ring.n):
-            for e in (1, 2):
-                m = [0] * ring.n
-                m[v] = e
-                candidates.append(tuple(m))
-        for _ in range(24):
-            candidates.append(random_monomial(rng, ring.n, 3))
-        rng.shuffle(candidates)
-        core = monomial_dim_core(ring.n, exps)[1]
-        step = next((m for m in candidates
-                     if all(core >> v & 1 for v, e in enumerate(m) if e)), None)
-        if step is None:
+        candidates = powers + [random_monomial(rng, n, 3) for _ in range(24)]
+        _shuffle(rng.getrandbits, candidates)
+        core = _dim_core(n, tuple(sorted(supports)))[1]
+        outside = [not core >> v & 1 for v in range(n)]  # True multiplies as 1
+        step = core and next((m for m in candidates if not any(map(mul, m, outside))), None)
+        if not step:  # an empty core admits no candidate
             return None
         elems.append(Polynomial(ring, {step: 1}))
-        exps.append(step)
+        # inside the core, the step's support contains no support: it is a new minimal one
+        mask = sum(1 << v for v, e in enumerate(step) if e)
+        supports = {s for s in supports if s & mask != mask} | {mask}
     return ParamSequence(ring, elems)

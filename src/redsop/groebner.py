@@ -267,20 +267,24 @@ def monomial_dim_core(n, exps):
     generators read the same entry.  Raises ValueError once the search
     visits more than DIM_SEARCH_BUDGET free sets, on every call.
     """
+    return _dim_core(n, tuple(sorted(_minimal_supports(exps))))
+
+
+def _minimal_supports(exps):
+    """The minimal support bit masks of the exponent tuples, as a set; {0} when one
+    is constant, which :func:`_dim_core` reads as the unit ideal."""
     masks = set()
     for m in exps:
         mask = 0
         for i, e in enumerate(m):
             if e:
                 mask |= 1 << i
-        if not mask:  # a nonzero constant generator
-            return -1, 0
         masks.add(mask)
-    minimal = []
+    minimal = set()
     for mask in sorted(masks, key=int.bit_count):
         if not any(s & mask == s for s in minimal):
-            minimal.append(mask)
-    return _dim_core(n, tuple(sorted(minimal)))
+            minimal.add(mask)
+    return minimal
 
 
 @functools.lru_cache(maxsize=256)

@@ -8,10 +8,11 @@ polynomials in monomial primes, and localization at a monomial prime by
 turning the outside variables into units.  The rest of the package
 cross-validates its general-purpose predicates against these answers.
 
-Per-ring constants are built once, in bounded memos: the 2^n monomial
-primes indexed by variable bit mask, which :func:`ass_monomial` reads,
-their sorted tuple (:func:`monomial_primes`), and the ring of each
-localization (:func:`_restriction`).
+Repeated work is done once, in bounded memos: the components of each
+sorted set of minimal generators (:func:`_components`, 256 entries), which
+:func:`irreducible_decomposition` and :func:`ass_monomial` read, the 2^n
+monomial primes of a ring by variable bit mask, their sorted tuple
+(:func:`monomial_primes`), and the ring of each localization (:func:`_restriction`).
 
 Hilbert numerators of monomial ideals (:func:`hilbert_numerator`) come
 from the same exponent tuples; the engine reads them off leading-term
@@ -98,7 +99,20 @@ def monomial_exponents_strict(J):
 
 def irreducible_decomposition(J):
     """Irredundant irreducible components of a proper monomial ideal,
-    sorted by (number of generators, generators).
+    sorted by (number of generators, generators): see :func:`_components`."""
+    return [IrreducibleComponent(J.ring, powers) for powers in _components_of(J)]
+
+
+def _components_of(J):
+    """The memoized components of J, keyed by its sorted minimal generators."""
+    return _components(J.ring.n, tuple(_minimalize_monomials(monomial_exponents_strict(J))))
+
+
+@lru_cache(maxsize=256)
+def _components(n, minimal):
+    """Components of the monomial ideal with these minimal generators, each a
+    tuple of (variable index, exponent) pairs, sorted as irreducible_decomposition
+    returns them.
 
     A node is a vector of pure powers (0 where a variable has none) and a
     list of mixed generators, none divisible by a pure power.  It splits
@@ -108,13 +122,11 @@ def irreducible_decomposition(J):
     pure power when one variable is left.  A node with no mixed generator
     is a component.  A leaf containing another leaf is dropped at the end,
     which leaves the unique irredundant decomposition (irreducible monomial
-    ideals are meet-irreducible).  Minimal generators are found once, at
-    the root.
+    ideals are meet-irreducible).
     """
-    ring = J.ring
-    pure = [0] * ring.n
+    pure = [0] * n
     mixed = []
-    for m in _minimalize_monomials(monomial_exponents_strict(J)):
+    for m in minimal:
         support = [i for i, e in enumerate(m) if e]
         if len(support) == 1:
             pure[support[0]] = m[support[0]]
@@ -143,15 +155,14 @@ def irreducible_decomposition(J):
     kept = leaves if len(leaves) == 1 else [
         c for c in leaves if not any(o != c and all(0 < e <= f for e, f in zip(c, o) if f)
                                      for o in leaves)]
-    return [IrreducibleComponent(ring, powers) for powers in sorted(
-        (tuple((i, e) for i, e in enumerate(c) if e) for c in kept),
-        key=lambda powers: (len(powers), powers))]
+    return tuple(sorted((tuple((i, e) for i, e in enumerate(c) if e) for c in kept),
+                        key=lambda powers: (len(powers), powers)))
 
 
 def ass_monomial(J):
     """Associated primes of R/J for proper monomial J: the radicals of its components."""
     ring = J.ring
-    masks = {sum(1 << i for i, _ in c.powers) for c in irreducible_decomposition(J)}
+    masks = {sum(1 << i for i, _ in powers) for powers in _components_of(J)}
     if ring.n <= MONOMIAL_PRIME_VARS:
         table = _primes_by_mask(ring)
         return {table[mask] for mask in masks}

@@ -356,7 +356,10 @@ def run_command(session, default_seed=None, timings=False):
         code = EXIT_INPUT_ERROR
     except Exception as exc:  # anything else is a bug, not bad input
         report["status"] = "internal_error"
-        report["error"] = f"{type(exc).__name__}: {exc}"
+        try:
+            report["error"] = f"{type(exc).__name__}: {exc}"
+        except MemoryError:  # formatting needs memory too; the report must still come out
+            report["error"] = "MemoryError"
         code = EXIT_INTERNAL
     if timings:
         report["timing_ms"] = round((time.monotonic() - start) * 1000.0, 3)

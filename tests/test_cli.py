@@ -581,3 +581,26 @@ def test_non_integer_env_seed_is_input_error(argv, capsys, monkeypatch):
     assert report["status"] == "input_error" and "REDSOP_SEED" in report["error"]
     # --seed comes first, so the variable is not read
     assert main(argv + ["--seed", "1"]) == EXIT_OK
+
+
+class _UnprintableMemoryError(MemoryError):
+    def __str__(self):
+        raise MemoryError
+
+
+@pytest.mark.parametrize("exc,error", [
+    (_UnprintableMemoryError(), "MemoryError"),
+    (MemoryError("no room"), "MemoryError: no room"),
+    (RuntimeError("boom"), "RuntimeError: boom"),
+])
+def test_an_internal_error_always_gets_its_report(exc, error, capsys, monkeypatch):
+    from redsop.cli import main
+    from redsop.session import EXIT_INTERNAL
+
+    def fail(J):
+        raise exc
+
+    monkeypatch.setattr("redsop.session.ass_monomial", fail)
+    assert main(["run", "-e", FIXTURE + "ass\n"]) == EXIT_INTERNAL
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "internal_error" and report["error"] == error

@@ -93,13 +93,13 @@ def test_greedy_sequences_need_a_monomial_module(R):
 
 def test_greedy_sequences_search_once_per_step(monkeypatch):
     calls = []
-    search = corpus.monomial_dim_core
+    search = corpus._dim_core
 
-    def counted(n, exps):
+    def counted(n, supports):
         calls.append(n)
-        return search(n, exps)
+        return search(n, supports)
 
-    monkeypatch.setattr(corpus, "monomial_dim_core", counted)
+    monkeypatch.setattr(corpus, "_dim_core", counted)
     stream = module_stream(11, n_values=(4,), min_dim=2)
     for _ in range(10):
         M, rng = next(stream)

@@ -5,6 +5,7 @@ import pytest
 from redsop import (
     Ideal,
     MonomialPrime,
+    Polynomial,
     PolyRing,
     ass_monomial,
     assh_monomial,
@@ -15,6 +16,7 @@ from redsop import (
     oracle_dim,
 )
 from redsop.corpus import CorpusSpec, default_ring, fixtures, random_monomial_ideal
+from redsop import monomial
 from redsop.monomial import (
     is_zero_divisor_oracle,
     monomial_primes,
@@ -213,3 +215,41 @@ def test_zero_divisor_law_random(R):
         J = random_monomial_ideal(ring, rng, 4, 3)
         f = random_homogeneous_element(ring, rng, 3)
         assert is_zero_divisor_oracle(f, J) == (J.quotient(f) != J)
+
+
+def _decomposed(J):
+    return [c.powers for c in irreducible_decomposition(J)], prime_sets(ass_monomial(J))
+
+
+def test_decomposition_reads_minimal_generators_only():
+    rng = random.Random(43)
+    for n in range(1, 6):
+        ring = default_ring(n)
+        for _ in range(40):
+            J = random_monomial_ideal(ring, rng, 5, 4)
+            if not J.is_proper():
+                continue
+            want = _decomposed(J)
+            exps = list(J.monomial_exponents())
+            multiples = [tuple(e + rng.randint(0, 2) for e in m) for m in exps]
+            noisy = exps + exps[:2] + multiples
+            rng.shuffle(noisy)
+            misses = monomial._components.cache_info().misses
+            other = Ideal(ring, tuple(Polynomial(ring, {m: 1}) for m in noisy))
+            assert _decomposed(other) == want
+            assert monomial._components.cache_info().misses == misses  # the same entry
+
+
+def test_decomposition_memo_matches_a_fresh_computation():
+    assert monomial._components.cache_info().maxsize == 256
+    rng = random.Random(44)
+    ideals = []
+    while len(ideals) < 500:
+        J = random_monomial_ideal(default_ring(rng.randint(1, 5)), rng, 6, 4)
+        if J.is_proper():
+            ideals.append(J)
+    memoized = [_decomposed(J) for J in ideals]
+    assert monomial._components.cache_info().currsize == 256
+    for J, want in zip(ideals, memoized):
+        monomial._components.cache_clear()
+        assert _decomposed(J) == want

@@ -1,12 +1,10 @@
 """Deterministic seeded corpora: random monomial ideals and sequences.
 
 All sampling goes through explicit :class:`random.Random` instances
-(Mersenne Twister), so a seed pins every fixture byte for byte.  Hot
-draws read ``rng.getrandbits`` with ``randrange``'s rejection rule
-(:func:`_below`), consuming the stream exactly as ``randrange``,
-``randint`` and ``shuffle`` would; a test pins them together.  Bounds
-default to desk scale and are enforced unless ``force`` is set; no
-generator-count or degree bound may pass BOUND_LIMIT, forced or not.
+(Mersenne Twister), so a seed pins every fixture byte for byte, also
+where :func:`random_monomials` reads ``getrandbits`` as ``randrange``
+does.  Bounds default to desk scale and are enforced unless ``force`` is
+set; no generator-count or degree bound may pass BOUND_LIMIT, forced or not.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from operator import mul
 
 from .groebner import _dim_core, _minimal_supports, _monomial_ideal
 from .poly import Polynomial, PolyRing, monomials_of_degree
@@ -68,33 +65,34 @@ def default_ring(n, p=32003):
     return PolyRing(_VAR_POOL[:n], p)
 
 
-def _below(bits, n):
-    """``rng.randrange(n)`` from ``bits = rng.getrandbits``: n.bit_length() bits until < n."""
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
-
-def _shuffle(bits, x):
-    """``rng.shuffle(x)``: Fisher-Yates from the end, each swap index drawn by :func:`_below`."""
-    for i in range(len(x) - 1, 0, -1):
-        j = _below(bits, i + 1)
-        x[i], x[j] = x[j], x[i]
-
-
 def random_monomial_exact(rng, n, deg):
-    """Random exponent tuple of total degree exactly ``deg``: each unit goes to
-    ``rng.randrange(n)``, :func:`_below` inlined as this is the hottest draw."""
-    bits, k = rng.getrandbits, n.bit_length()
+    """Random exponent tuple of total degree exactly ``deg``."""
     e = [0] * n
     for _ in range(deg):
-        r = bits(k)
-        while r >= n:
-            r = bits(k)
-        e[r] += 1
+        e[rng.randrange(n)] += 1
     return tuple(e)
+
+
+def random_monomials(rng, n, max_degree, count):
+    """``count`` nonconstant exponent tuples, each ``rng.randint(1, max_degree)`` units on
+    variables ``rng.randrange(n)``, read off ``rng.getrandbits`` by ``randrange``'s rule
+    (bit_length bits, drawn again while they reach the bound) without its call layers."""
+    if n < 1 or max_degree < 1:  # randrange and randint refuse them; these loops would not end
+        raise ValueError(f"random monomials need n, max_degree >= 1, got {n}, {max_degree}")
+    bits, k, kd = rng.getrandbits, n.bit_length(), max_degree.bit_length()
+    out = []
+    for _ in range(count):
+        deg = bits(kd)  # deg + 1 is the randint(1, max_degree) draw
+        while deg >= max_degree:
+            deg = bits(kd)
+        e = [0] * n
+        for _ in range(deg + 1):
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            e[r] += 1
+        out.append(tuple(e))
+    return out
 
 
 def random_monomial(rng, n, max_degree, squarefree=False):
@@ -103,12 +101,12 @@ def random_monomial(rng, n, max_degree, squarefree=False):
         size = rng.randint(1, n)
         chosen = rng.sample(range(n), size)
         return tuple(1 if i in chosen else 0 for i in range(n))
-    return random_monomial_exact(rng, n, 1 + _below(rng.getrandbits, max_degree))
+    return random_monomials(rng, n, max_degree, 1)[0]
 
 
 def random_monomial_ideal(ring, rng, max_gens, max_degree, squarefree=False):
     """Random proper monomial ideal with minimalized generators."""
-    k = 1 + _below(rng.getrandbits, max_gens)
+    k = rng.randint(1, max_gens)
     exps = [random_monomial(rng, ring.n, max_degree, squarefree) for _ in range(k)]
     return _monomial_ideal(ring, exps)
 
@@ -174,21 +172,22 @@ def greedy_monomial_sequence(M, length, rng):
     the first shuffled candidate whose support lies inside the core, which
     is exactly a candidate lowering the dimension by one.
     """
-    ring = M.ring
-    n = ring.n
+    ring, n = M.ring, M.ring.n
     exps = M.ideal.monomial_exponents()
     if exps is None:
         raise ValueError("greedy monomial sequences need a monomial module")
     supports = _minimal_supports(exps)
-    powers = [tuple(e if i == v else 0 for i in range(n)) for v in range(n) for e in (1, 2)]
+    powers = [(0,) * v + (e,) + (0,) * (n - 1 - v) for v in range(n) for e in (1, 2)]
     elems = []
     for _ in range(length):
-        candidates = powers + [random_monomial(rng, n, 3) for _ in range(24)]
-        _shuffle(rng.getrandbits, candidates)
+        candidates = powers + random_monomials(rng, n, 3, 24)
+        rng.shuffle(candidates)
         core = _dim_core(n, tuple(sorted(supports)))[1]
-        outside = [not core >> v & 1 for v in range(n)]  # True multiplies as 1
-        step = core and next((m for m in candidates if not any(map(mul, m, outside))), None)
-        if not step:  # an empty core admits no candidate
+        if not core:  # no nonconstant monomial lies inside an empty core
+            return None
+        outside = [v for v in range(n) if not core >> v & 1]
+        step = next((m for m in candidates if not any(m[v] for v in outside)), None)
+        if step is None:
             return None
         elems.append(Polynomial(ring, {step: 1}))
         # inside the core, the step's support contains no support: it is a new minimal one

@@ -39,8 +39,8 @@ generator set gives its own exponents and needs no basis, any other
 ideal the leading monomials of its reduced grevlex basis.  The same
 search returns the variables lying in every largest free set
 (:func:`monomial_dim_core`), which tells which monomials lower the
-dimension by one.  The search runs once per sorted set of minimal
-supports, held in a memo of 256 entries.  The Hilbert test for
+dimension by one.  Memos of 256 entries keep it once per sorted set of
+minimal supports and once per exponent tuple.  The Hilbert test for
 non-zero-divisors reads the same accessor.  A monomial generator set
 also answers ``is_unit`` without a basis: it generates the unit ideal
 exactly when one generator is a nonzero constant.
@@ -271,8 +271,7 @@ def monomial_dim_core(n, exps):
 
 
 def _minimal_supports(exps):
-    """The minimal support bit masks of the exponent tuples, as a set; {0} when one
-    is constant, which :func:`_dim_core` reads as the unit ideal."""
+    """Minimal support bit masks of the exponent tuples, as a set ({0} for a unit)."""
     masks = set()
     for m in exps:
         mask = 0
@@ -318,6 +317,11 @@ def _dim_core(n, supports):
         return memo[free]
 
     return largest((1 << n) - 1)
+
+
+@functools.lru_cache(maxsize=256)
+def _dim_of_exponents(n, exps):
+    return monomial_dim_core(n, exps)[0]
 
 
 def monomial_dim(n, exps):
@@ -570,11 +574,11 @@ class Ideal:
     def dim_quotient(self):
         """Krull dimension of R/J; -1 when J is the unit ideal.
 
-        :func:`monomial_dim` of :meth:`leading_exponents`, so only a
-        generator set with a non-term needs a basis.  Raises ValueError
-        when the search passes DIM_SEARCH_BUDGET.
+        :func:`monomial_dim` of :meth:`leading_exponents`, memoized for the
+        last 256 exponent tuples, so only a generator set with a non-term
+        needs a basis.  Raises ValueError when the search passes DIM_SEARCH_BUDGET.
         """
-        return monomial_dim(self.ring.n, self.leading_exponents())
+        return _dim_of_exponents(self.ring.n, tuple(self.leading_exponents()))
 
     def __str__(self):
         return "(" + ", ".join(str(g) for g in self.gens) + ")"

@@ -8,11 +8,10 @@ polynomials in monomial primes, and localization at a monomial prime by
 turning the outside variables into units.  The rest of the package
 cross-validates its general-purpose predicates against these answers.
 
-Repeated work is done once, in bounded memos: the components of each
-sorted set of minimal generators (:func:`_components`, 256 entries), which
-:func:`irreducible_decomposition` and :func:`ass_monomial` read, the 2^n
-monomial primes of a ring by variable bit mask, their sorted tuple
-(:func:`monomial_primes`), and the ring of each localization (:func:`_restriction`).
+Repeated work is done once, in bounded memos: the components of
+each set of minimal generators (:func:`_components`, 256 entries), the
+2^n monomial primes of a ring by bit mask, their sorted tuple
+(:func:`monomial_primes`) and the ring of each localization (:func:`_restriction`).
 
 Hilbert numerators of monomial ideals (:func:`hilbert_numerator`) come
 from the same exponent tuples; the engine reads them off leading-term
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import and_
 
 from .groebner import Ideal, _minimalize_monomials, _monomial_ideal
@@ -55,6 +54,10 @@ class MonomialPrime:
 
     def sorted_vars(self):
         return tuple(n for n in self.ring.var_names if n in self.vars)
+
+    @cached_property
+    def indices(self):
+        return tuple(i for i, n in enumerate(self.ring.var_names) if n in self.vars)
 
     def to_ideal(self):
         return Ideal(self.ring, tuple(self.ring.var(n) for n in self.sorted_vars()))
@@ -100,19 +103,13 @@ def monomial_exponents_strict(J):
 def irreducible_decomposition(J):
     """Irredundant irreducible components of a proper monomial ideal,
     sorted by (number of generators, generators): see :func:`_components`."""
-    return [IrreducibleComponent(J.ring, powers) for powers in _components_of(J)]
-
-
-def _components_of(J):
-    """The memoized components of J, keyed by its sorted minimal generators."""
-    return _components(J.ring.n, tuple(_minimalize_monomials(monomial_exponents_strict(J))))
+    minimal = tuple(_minimalize_monomials(monomial_exponents_strict(J)))
+    return [IrreducibleComponent(J.ring, powers) for powers in _components(J.ring.n, minimal)]
 
 
 @lru_cache(maxsize=256)
 def _components(n, minimal):
-    """Components of the monomial ideal with these minimal generators, each a
-    tuple of (variable index, exponent) pairs, sorted as irreducible_decomposition
-    returns them.
+    """Components of the ideal with these minimal generators, as power tuples.
 
     A node is a vector of pure powers (0 where a variable has none) and a
     list of mixed generators, none divisible by a pure power.  It splits
@@ -162,7 +159,7 @@ def _components(n, minimal):
 def ass_monomial(J):
     """Associated primes of R/J for proper monomial J: the radicals of its components."""
     ring = J.ring
-    masks = {sum(1 << i for i, _ in powers) for powers in _components_of(J)}
+    masks = {sum(1 << i for i, _ in c.powers) for c in irreducible_decomposition(J)}
     if ring.n <= MONOMIAL_PRIME_VARS:
         table = _primes_by_mask(ring)
         return {table[mask] for mask in masks}
@@ -194,7 +191,7 @@ def monomials_in_prime(exps, P):
     For the generators of a monomial ideal J this says J <= P, i.e. P
     lies in the support of R/J.
     """
-    idx = {P.ring.var_names.index(n) for n in P.vars}
+    idx = P.indices
     return all(any(m[i] for i in idx) for m in exps)
 
 

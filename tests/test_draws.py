@@ -1,5 +1,5 @@
 """The seeded draw streams of corpus: pinned digests, and the stdlib stream its
-draw helpers reproduce."""
+monomial draws reproduce."""
 
 import hashlib
 import random
@@ -15,7 +15,7 @@ def _sha(lines):
 
 
 # SHA-256 of each fixture list, one ideal a line, recorded while corpus still
-# drew through randrange, randint and shuffle
+# drew every exponent through randrange
 FIXTURE_DIGESTS = [
     (CorpusSpec(n=3, count=40, seed=0),
      "931084346df47c4449819c884b7fee4632300c3bc46e569cd35fa1f8a1b242db"),
@@ -70,23 +70,28 @@ def test_greedy_over_a_stream_is_pinned():
     assert _sha(lines) == GREEDY_DIGEST
 
 
-def _stdlib_exact(rng, n, deg):
+def _stdlib_monomial(rng, n, max_degree):
     e = [0] * n
-    for _ in range(deg):
+    for _ in range(rng.randint(1, max_degree)):
         e[rng.randrange(n)] += 1
     return tuple(e)
 
 
-def test_draw_helpers_follow_the_stdlib_stream():
+def test_monomial_draws_follow_the_stdlib_stream():
     for seed in range(200):
         ours, theirs = random.Random(seed), random.Random(seed)
         for n in range(1, 9):
-            assert corpus._below(ours.getrandbits, n) == theirs.randrange(n)
-            assert 1 + corpus._below(ours.getrandbits, n) == theirs.randint(1, n)
-            for size in (n, 2 * n + 24):  # greedy shuffles 2n + 24 candidates
-                mine, stdlib = [f"c{i}" for i in range(size)], [f"c{i}" for i in range(size)]
-                corpus._shuffle(ours.getrandbits, mine)
-                theirs.shuffle(stdlib)
-                assert mine == stdlib
-            assert corpus.random_monomial_exact(ours, n, 5) == _stdlib_exact(theirs, n, 5)
+            for max_degree in (1, 3, 5, 12):
+                assert corpus.random_monomial(ours, n, max_degree) == _stdlib_monomial(
+                    theirs, n, max_degree)
+                assert corpus.random_monomials(ours, n, max_degree, 24) == [
+                    _stdlib_monomial(theirs, n, max_degree) for _ in range(24)]
         assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("n,max_degree", [(0, 3), (3, 0), (-1, 2)])
+def test_monomial_draws_refuse_empty_ranges(n, max_degree):
+    with pytest.raises(ValueError):
+        corpus.random_monomials(random.Random(0), n, max_degree, 1)
+    with pytest.raises(ValueError):
+        corpus.random_monomial(random.Random(0), n, max_degree)

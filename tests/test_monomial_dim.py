@@ -97,3 +97,27 @@ def test_dimension_memo_stays_bounded():
         assert monomial_dim_core(12, exps) == (12 - k.bit_count(), (1 << 12) - 1 - k)
         assert groebner._dim_core.cache_info().currsize <= bound
     assert groebner._dim_core.cache_info().currsize == bound
+
+
+def test_dim_quotient_memo_matches_a_fresh_search():
+    import random
+
+    from redsop.corpus import default_ring, random_monomial_ideal
+
+    memo = groebner._dim_of_exponents
+    assert memo.cache_info().maxsize == 256
+    rng = random.Random(45)
+    ideals = [random_monomial_ideal(default_ring(rng.randint(2, 5)), rng, 6, 4)
+              for _ in range(800)]
+    memoized = [J.dim_quotient() for J in ideals]
+    assert memo.cache_info().currsize == 256
+    for J, d in zip(ideals, memoized):
+        memo.cache_clear()
+        assert J.dim_quotient() == d == monomial_dim(J.ring.n, list(J.monomial_exponents()))
+    # an over-budget search is not remembered: it raises on every call
+    ring = PolyRing(tuple(f"x{i}" for i in range(24)))
+    J = Ideal(ring, [Polynomial(ring, {tuple(1 if i // 2 == k else 0 for i in range(24)): 1})
+                     for k in range(12)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="too large"):
+            J.dim_quotient()

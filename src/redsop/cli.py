@@ -21,6 +21,7 @@ from .session import (
     SCHEMA,
     check_theorems,
     corpus_report,
+    error_status,
     render_human,
     render_report,
     run_block_with_output,
@@ -42,9 +43,11 @@ def _seed(args):
         raise ValueError(f"{SEED_ENV} must be an integer, got {value!r}") from None
 
 
-def _input_error(command, exc):
+def _error_report(command, exc):
+    """(report, exit code) for an exception raised outside a session block."""
+    status, error, code = error_status(exc)
     return {"schema": SCHEMA, "command": command,
-            "status": "input_error", "error": str(exc), "timing_ms": None}
+            "status": status, "error": error, "timing_ms": None}, code
 
 
 def _emit(report, human):
@@ -69,8 +72,9 @@ def _cmd_run(args):
     try:
         default_seed = _seed(args)
     except ValueError as exc:
-        _emit(_input_error(None, exc), args.human)
-        return EXIT_INPUT_ERROR
+        report, code = _error_report(None, exc)
+        _emit(report, args.human)
+        return code
     report, code, output = run_block_with_output(text, default_seed, timings=args.timings)
     _emit(report, args.human or output == "human")
     return code
@@ -89,9 +93,8 @@ def _cmd_corpus(args):
             force=args.force,
         )
         report, code = corpus_report(spec, args.command)
-    except ValueError as exc:
-        report = _input_error("generate-corpus", exc)
-        code = EXIT_INPUT_ERROR
+    except Exception as exc:
+        report, code = _error_report("generate-corpus", exc)
     _emit(report, args.human)
     return code
 
@@ -105,9 +108,8 @@ def _cmd_check(args):
         report = {"schema": SCHEMA, "command": "check-theorems", "seed": seed,
                   "status": "ok", "timing_ms": None}
         code = check_theorems(report, args.suites, options, seed)
-    except ValueError as exc:
-        report = _input_error("check-theorems", exc)
-        code = EXIT_INPUT_ERROR
+    except Exception as exc:
+        report, code = _error_report("check-theorems", exc)
     _emit(report, args.human)
     return code
 

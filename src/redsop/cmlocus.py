@@ -25,7 +25,7 @@ from .monomial import (
     depth_monomial,
     localize_at_monomial_prime,
     monomial_exponents_strict,
-    monomial_primes,
+    monomial_primes_over,
     monomials_in_prime,
 )
 from .sop import (
@@ -111,9 +111,8 @@ def cm_locus_monomial_r(M, r, seed=0):
     """All monomial primes in the locus stratum with dim M_P = r."""
     if not 0 <= r <= M.d:
         raise ValueError(f"r must lie in [0, {M.d}]")
-    monomial_exponents_strict(M.ideal)  # reject non-monomial input up front
     out = []
-    for P in monomial_primes(M.ring):
+    for P in monomial_primes_over(M.ideal):
         entry = cm_membership_monomial(P, M, seed)
         if entry.member and entry.r == r:
             out.append(entry)

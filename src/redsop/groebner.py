@@ -34,16 +34,16 @@ verification suites pin them against the tag route and the saturation
 against the iterated colon.
 
 Dimension is one search over supports held as bit masks
-(:func:`monomial_dim`) of :meth:`Ideal.leading_exponents`: a monomial
-generator set gives its own exponents and needs no basis, any other
-ideal the leading monomials of its reduced grevlex basis.  The same
-search returns the variables lying in every largest free set
-(:func:`monomial_dim_core`), which tells which monomials lower the
-dimension by one.  Memos of 256 entries keep it once per sorted set of
-minimal supports and once per exponent tuple.  The Hilbert test for
-non-zero-divisors reads the same accessor.  A monomial generator set
-also answers ``is_unit`` without a basis: it generates the unit ideal
-exactly when one generator is a nonzero constant.
+(:func:`monomial_dim_core`) of :meth:`Ideal.leading_exponents`: a
+monomial generator set gives its own exponents and needs no basis, any
+other ideal the leading monomials of its reduced grevlex basis.  The
+same search returns the variables lying in every largest free set,
+which tells which monomials lower the dimension by one.  Memos of 256
+entries keep it once per sorted set of minimal supports and once per
+exponent tuple.  The Hilbert test for non-zero-divisors reads the same
+accessor.  A monomial generator set also answers ``is_unit`` without a
+basis: it generates the unit ideal exactly when one generator is a
+nonzero constant.
 """
 
 from __future__ import annotations
@@ -324,14 +324,6 @@ def _dim_of_exponents(n, exps):
     return monomial_dim_core(n, exps)[0]
 
 
-def monomial_dim(n, exps):
-    """Krull dimension of k[x_0..x_{n-1}]/(x^e : e in exps); -1 for the unit ideal.
-
-    The first component of :func:`monomial_dim_core`.
-    """
-    return monomial_dim_core(n, exps)[0]
-
-
 def _tag_name(ring):
     """A variable name the ring does not use, for a tag variable."""
     name = "t"
@@ -574,9 +566,10 @@ class Ideal:
     def dim_quotient(self):
         """Krull dimension of R/J; -1 when J is the unit ideal.
 
-        :func:`monomial_dim` of :meth:`leading_exponents`, memoized for the
-        last 256 exponent tuples, so only a generator set with a non-term
-        needs a basis.  Raises ValueError when the search passes DIM_SEARCH_BUDGET.
+        The first component of :func:`monomial_dim_core` on
+        :meth:`leading_exponents`, memoized for the last 256 exponent
+        tuples, so only a generator set with a non-term needs a basis.
+        Raises ValueError when the search passes DIM_SEARCH_BUDGET.
         """
         return _dim_of_exponents(self.ring.n, tuple(self.leading_exponents()))
 

@@ -8,10 +8,11 @@ polynomials in monomial primes, and localization at a monomial prime by
 turning the outside variables into units.  The rest of the package
 cross-validates its general-purpose predicates against these answers.
 
-Repeated work is done once, in bounded memos: the components of
-each set of minimal generators (:func:`_components`, 256 entries), the
-2^n monomial primes of a ring by bit mask, their sorted tuple
-(:func:`monomial_primes`) and the ring of each localization (:func:`_restriction`).
+Repeated work is done once, in bounded memos: the components of each
+set of minimal generators (:func:`_components`), the prime of each
+variable mask (:func:`_prime_of_mask`), the sorted 2^n monomial primes
+of a ring (:func:`monomial_primes`) and the ring of each localization
+(:func:`_restriction`).
 
 Hilbert numerators of monomial ideals (:func:`hilbert_numerator`) come
 from the same exponent tuples; the engine reads them off leading-term
@@ -97,7 +98,7 @@ def monomial_exponents_strict(J):
         raise ValueError("non-monomial generator")
     if any(sum(m) == 0 for m in exps):
         raise ValueError("ideal must be proper")
-    return list(exps)
+    return exps
 
 
 def irreducible_decomposition(J):
@@ -160,9 +161,6 @@ def ass_monomial(J):
     """Associated primes of R/J for proper monomial J: the radicals of its components."""
     ring = J.ring
     masks = {sum(1 << i for i, _ in c.powers) for c in irreducible_decomposition(J)}
-    if ring.n <= MONOMIAL_PRIME_VARS:
-        table = _primes_by_mask(ring)
-        return {table[mask] for mask in masks}
     return {_prime_of_mask(ring, mask) for mask in masks}
 
 
@@ -223,9 +221,7 @@ def localize_at_monomial_prime(J, P):
 @lru_cache(maxsize=256)
 def _restriction(P):
     """(indices of P's variables, the ring in them) for localizing at P."""
-    ring = P.ring
-    kept = tuple(i for i, n in enumerate(ring.var_names) if n in P.vars)
-    return kept, PolyRing(tuple(ring.var_names[i] for i in kept), ring.p)
+    return P.indices, PolyRing(P.sorted_vars(), P.ring.p)
 
 
 def restrict_monomial_poly(f, P):
@@ -246,11 +242,6 @@ def monomial_intersection(A, B):
     if ea is None or eb is None:
         raise ValueError("non-monomial generator")
     return _monomial_ideal(A.ring, [mono_lcm(a, b) for a in ea for b in eb])
-
-
-def is_zero_divisor_oracle(f, J):
-    """Zero-divisor test on R/J: membership in some associated prime."""
-    return any(member_of_monomial_prime(f, P) for P in ass_monomial(J))
 
 
 def hilbert_numerator(n, exps):
@@ -309,24 +300,19 @@ def times_one_minus(num, e):
     return out
 
 
+@lru_cache(maxsize=256)  # every prime of the largest ring monomial_primes lists
 def _prime_of_mask(ring, mask):
     """The prime generated by the variables in the bit mask."""
     return MonomialPrime(ring, frozenset(n for i, n in enumerate(ring.var_names) if mask >> i & 1))
 
 
 @lru_cache(maxsize=64)
-def _primes_by_mask(ring):
-    """All 2^n monomial primes of a ring of at most MONOMIAL_PRIME_VARS variables, by bit mask."""
-    names = ring.var_names
-    if len(names) > MONOMIAL_PRIME_VARS:
-        raise ValueError(f"monomial primes are listed for at most {MONOMIAL_PRIME_VARS} variables")
-    return tuple(_prime_of_mask(ring, mask) for mask in range(1 << len(names)))
-
-
-@lru_cache(maxsize=64)
 def monomial_primes(ring):
     """All 2^n monomial primes, the zero prime included; n > MONOMIAL_PRIME_VARS raises."""
-    return tuple(sorted(_primes_by_mask(ring), key=lambda p: (len(p.vars), p.sorted_vars())))
+    if ring.n > MONOMIAL_PRIME_VARS:
+        raise ValueError(f"monomial primes are listed for at most {MONOMIAL_PRIME_VARS} variables")
+    return tuple(sorted((_prime_of_mask(ring, mask) for mask in range(1 << ring.n)),
+                        key=lambda p: (len(p.vars), p.sorted_vars())))
 
 
 def monomial_primes_over(J):

@@ -325,6 +325,19 @@ def check_theorems(report, suites, options, seed):
     return EXIT_OK if report["passed"] else EXIT_INTERNAL
 
 
+def error_status(exc):
+    """(status, error text, exit code) for an exception raised while answering."""
+    if isinstance(exc, RetryBudgetError):
+        return "inconclusive", str(exc), EXIT_INCONCLUSIVE
+    if isinstance(exc, (ValueError, KeyError, TypeError)):
+        return "input_error", str(exc), EXIT_INPUT_ERROR
+    try:  # anything else is a bug, not bad input
+        error = f"{type(exc).__name__}: {exc}"
+    except MemoryError:  # formatting needs memory too; the report must still come out
+        error = "MemoryError"
+    return "internal_error", error, EXIT_INTERNAL
+
+
 def run_command(session, default_seed=None, timings=False):
     """Dispatch one session; returns (report dict, exit code)."""
     seed = session.seed if session.seed is not None else (default_seed if default_seed is not None else 0)
@@ -346,21 +359,8 @@ def run_command(session, default_seed=None, timings=False):
     start = time.monotonic()
     try:
         code = _dispatch(session, seed, report)
-    except RetryBudgetError as exc:
-        report["status"] = "inconclusive"
-        report["error"] = str(exc)
-        code = EXIT_INCONCLUSIVE
-    except (ValueError, KeyError, TypeError) as exc:
-        report["status"] = "input_error"
-        report["error"] = str(exc)
-        code = EXIT_INPUT_ERROR
-    except Exception as exc:  # anything else is a bug, not bad input
-        report["status"] = "internal_error"
-        try:
-            report["error"] = f"{type(exc).__name__}: {exc}"
-        except MemoryError:  # formatting needs memory too; the report must still come out
-            report["error"] = "MemoryError"
-        code = EXIT_INTERNAL
+    except Exception as exc:
+        report["status"], report["error"], code = error_status(exc)
     if timings:
         report["timing_ms"] = round((time.monotonic() - start) * 1000.0, 3)
     return report, code

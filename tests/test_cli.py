@@ -10,11 +10,12 @@ import time
 
 import pytest
 
-from redsop import Ideal
+from redsop import Ideal, RetryBudgetError
 from redsop.corpus import CorpusSpec, default_ring
 from redsop.session import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,
+    EXIT_INTERNAL,
     EXIT_OK,
     SessionError,
     _as_monomial_prime,
@@ -448,6 +449,28 @@ def test_all_inside_a_suite_list_runs_every_suite(capsys, monkeypatch):
     assert "unknown suite 'nonsense'" in json.loads(capsys.readouterr().out)["error"]
 
 
+@pytest.mark.parametrize("error,status,exit_code", [
+    (RuntimeError("broken invariant"), "internal_error", EXIT_INTERNAL),
+    (RetryBudgetError("no draw left"), "inconclusive", EXIT_INCONCLUSIVE),
+])
+def test_check_reports_a_failing_suite_as_a_session_does(error, status, exit_code,
+                                                         capsys, monkeypatch):
+    # `redsop check` used to let these escape as a traceback with exit 1
+    from redsop.cli import main
+
+    def suite(res, M, rng):
+        raise error
+
+    monkeypatch.delenv("REDSOP_SEED", raising=False)
+    monkeypatch.setitem(SUITES, "dimension-filter", (suite,) + SUITES["dimension-filter"][1:])
+    assert main(["check", "--suites", "dimension-filter", "--count", "1"]) == exit_code
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == "check-theorems" and report["status"] == status
+    assert str(error) in report["error"]
+    session, code = run("ring [X,Y,Z]\ncheck-theorems dimension-filter count=1\n")
+    assert (session["status"], session["error"], code) == (status, report["error"], exit_code)
+
+
 @pytest.mark.parametrize("option", [["--vars", "a"], ["--vars", "0"], ["--vars", "9"],
                                     ["--max-gens", "0"], ["--max-degree", "0"],
                                     ["--count", "0"], ["--count", "-2"]],
@@ -595,7 +618,6 @@ class _UnprintableMemoryError(MemoryError):
 ])
 def test_an_internal_error_always_gets_its_report(exc, error, capsys, monkeypatch):
     from redsop.cli import main
-    from redsop.session import EXIT_INTERNAL
 
     def fail(J):
         raise exc

@@ -1,6 +1,7 @@
 """Every name a redsop module imports is used in that module, every
 module-level definition is referenced somewhere in src, tests or bench
-(a private one in src itself), and so is every method or property of a
+(a private one in src itself, a public one that the package does not
+re-export in src or bench), and so is every method or property of a
 redsop class; some call in src, tests or bench sets every parameter
 that has a default."""
 
@@ -112,6 +113,32 @@ def test_detector_sees_private_helpers_read_only_by_tests():
 def test_private_definitions_are_read_in_src():
     modules = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unread_private_definitions(modules) == []
+
+
+def reexported(init_source):
+    """Names the package's __init__ imports from its modules."""
+    return {a.asname or a.name for node in ast.walk(ast.parse(init_source))
+            if isinstance(node, ast.ImportFrom) for a in node.names}
+
+
+def unread_public_definitions(module_sources, reader_sources, exported):
+    """Public module-level definitions that are neither re-exported nor read by a reader."""
+    return [name for name in dead_definitions(module_sources, reader_sources)
+            if not name.startswith("_") and name not in exported]
+
+
+def test_detector_sees_public_helpers_read_only_by_tests():
+    module = ("def api():\n    return 1\n\n"
+              "def used():\n    return 2\n\ndef tested():\n    return 3\n")
+    reader = "from m import used\nused()\n"
+    assert unread_public_definitions([module], [module, reader], {"api"}) == ["tested"]
+
+
+def test_public_definitions_are_exported_or_read_in_src_or_bench():
+    modules = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    readers = modules + [p.read_text() for p in sorted((ROOT / "bench").rglob("*.py"))]
+    exported = reexported((SRC / "__init__.py").read_text())
+    assert unread_public_definitions(modules, readers, exported) == []
 
 
 def attribute_reads(sources):

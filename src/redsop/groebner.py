@@ -16,8 +16,10 @@ weighted degree of the input; a term reaching a guard bit, or a new
 leading monomial reaching half a field, restarts the run on fields twice
 as wide, so exponents of any size stay exact.  Pairs come from the
 update of Gebauer & Moeller (1988), reduced by sugar (Giovini et al.
-1991), then lcm.  Finally the basis is minimalized and each tail reduced
-once against the others, which leaves every element reduced.
+1991), then lcm.  Inside the same restart the minimal basis it ends with
+has two readers: :func:`buchberger` reduces each tail once against the
+others, leaving every element reduced; :func:`_leading_exponents` only
+unpacks the leading monomials.
 
 Colons and saturations come from one basis (Bayer & Stillman 1987).
 For homogeneous J and f of degree e, adjoin a tag y of degree e, placed
@@ -35,15 +37,15 @@ against the iterated colon.
 
 Dimension is one search over supports held as bit masks
 (:func:`monomial_dim_core`) of :meth:`Ideal.leading_exponents`: a
-monomial generator set gives its own exponents and needs no basis, any
-other ideal the leading monomials of its reduced grevlex basis.  The
-same search returns the variables lying in every largest free set,
-which tells which monomials lower the dimension by one.  Memos of 256
-entries keep it once per sorted set of minimal supports and once per
-exponent tuple.  The Hilbert test for non-zero-divisors reads the same
-accessor.  A monomial generator set also answers ``is_unit`` without a
-basis: it generates the unit ideal exactly when one generator is a
-nonzero constant.
+monomial generator set gives its own exponents and needs no basis; any
+other ideal gives the leading monomials of its reduced grevlex basis
+when it holds one, else of one uninterreduced kernel run, kept on the
+ideal and never in the basis cache.  The same search returns the
+variables lying in every largest free set, which tells which monomials
+lower the dimension by one.  Memos of 256 entries keep it once per
+sorted set of minimal supports and once per exponent tuple.  The Hilbert
+test for non-zero-divisors, ``is_unit`` and ``is_zero`` read the same
+accessor: J is the unit ideal exactly when in(J) holds a constant.
 """
 
 from __future__ import annotations
@@ -118,9 +120,9 @@ def _packed(fn, order, n, term_dicts):
 
 
 def _buchberger_raw(polys, packing, p):
-    """Monic records (leading monomial, tail) of the reduced basis, ascending, of
-    packed (term dict, sugar) inputs.  Raises OverflowError once a new leading
-    monomial reaches ``packing.half`` in some field."""
+    """Monic records (leading monomial, tail) of the minimal basis, ascending, tails not
+    interreduced, of packed (term dict, sugar) inputs.  Raises OverflowError once a new
+    leading monomial reaches ``packing.half`` in some field."""
     unpack, var, weights = packing.unpack, packing.var, packing.weights
     guard, half = packing.guard, packing.half
     lms, exps, offsets = [], [], []  # offset: sugar minus the degree of the lm
@@ -184,10 +186,24 @@ def _buchberger_raw(polys, packing, p):
     for g in sorted(live, key=lms.__getitem__):
         if all((lms[g] - lm) & guard for lm, _ in basis):
             basis.append(records[g])
-    # one pass reduces every tail: no leading monomial changes or divides its own tail
-    for i, (lm, tail) in enumerate(basis):
-        basis[i] = (lm, _nf_raw(tail, basis, p, guard))
     return basis
+
+
+def _kernel(ring, order, nonzero, read):
+    """read(packing, records of the minimal basis) of the nonzero term dicts: one
+    _buchberger_raw run, read inside the field-widening restart of _packed."""
+    def run(packing, sugars):
+        var = packing.var
+        return read(packing, _buchberger_raw([({sum(map(mul, m, var)): c for m, c in t.items()}, s)
+                                              for t, s in zip(nonzero, sugars)], packing, ring.p))
+
+    return _packed(run, order, ring.n, nonzero)
+
+
+def _leading_exponents(ring, nonzero):
+    """Leading exponents of the grevlex basis of the nonzero term dicts, ascending, each
+    unpacked once from the minimal basis: no tail reduced, no Polynomial, no cache entry."""
+    return _kernel(ring, GREVLEX, nonzero, lambda pk, rs: tuple([pk.unpack(m) for m, _ in rs]))
 
 
 def _element(ring, g, text=True):
@@ -226,15 +242,16 @@ def buchberger(gens, order=GREVLEX):
         exps = _minimalize_monomials([next(iter(t)) for t in nonzero])
         basis = tuple(Polynomial(ring, {m: one}, _raw=True) for m in sorted(exps, key=order.key))
     else:
-        def run(packing, sugars):
-            var, unpack = packing.var, packing.unpack
-            raw = _buchberger_raw([({sum(map(mul, m, var)): c for m, c in t.items()}, s)
-                                   for t, s in zip(nonzero, sugars)], packing, ring.p)
+        def reduced(packing, basis):
+            unpack = packing.unpack
+            # one pass reduces every tail: no leading monomial changes or divides its own tail
+            for i, (lm, tail) in enumerate(basis):
+                basis[i] = (lm, _nf_raw(tail, basis, ring.p, packing.guard))
             return [{unpack(lm): one, **{unpack(m): c for m, c in tail.items()}}
-                    for lm, tail in raw]
+                    for lm, tail in basis]
 
         basis = tuple(Polynomial(ring, t, _raw=True)
-                      for t in _packed(run, order, ring.n, nonzero))
+                      for t in _kernel(ring, order, nonzero, reduced))
 
     if len(_GB_CACHE) >= _GB_CACHE_LIMIT:
         _GB_CACHE.clear()
@@ -346,17 +363,19 @@ class _TagOrder:
 
 
 class Ideal:
-    """Finitely generated ideal of a :class:`PolyRing` caching its grevlex basis,
-    its Hilbert numerator and its last sum: ``J + gens`` with equal ``gens`` returns
-    the ideal it built last time, so a walk builds each prefix ideal once."""
+    """Finitely generated ideal of a :class:`PolyRing` caching its grevlex basis, its
+    leading exponents (from an uninterreduced kernel run when it holds no basis), its
+    Hilbert numerator and its last sum: ``J + gens`` with equal ``gens`` returns the
+    ideal it built last time, so a walk builds each prefix ideal once."""
 
-    __slots__ = ("ring", "gens", "_gb", "_mono", "_hilb", "_sum")
+    __slots__ = ("ring", "gens", "_gb", "_mono", "_lead", "_hilb", "_sum")
 
     def __init__(self, ring, gens):
         self.ring = ring
         self.gens = tuple([_element(ring, g) for g in gens])
         self._gb = None  # reduced grevlex basis, not computed yet
         self._mono = -1  # not computed yet
+        self._lead = None  # leading exponents, not computed yet
         self._hilb = None  # Hilbert numerator, not computed yet
         # (gens, self + gens) of the last sum, not a dict: a walk extends the sum
         # it accepted last, and a dict keeps rejected draws (160 a depth level) alive
@@ -395,14 +414,10 @@ class Ideal:
         return self.reduce(f).is_zero()
 
     def is_zero(self):
-        return not self.groebner_basis()
+        return not self.leading_exponents()
 
     def is_unit(self):
-        exps = self.monomial_exponents()
-        if exps is not None:  # a term generates the unit ideal iff it is constant
-            return not all(map(any, exps))
-        basis = self.groebner_basis()
-        return len(basis) == 1 and basis[0].degree() == 0
+        return not all(map(any, self.leading_exponents()))  # in(J) holds a constant
 
     def is_proper(self):
         return not self.is_unit()
@@ -425,16 +440,20 @@ class Ideal:
         return self._mono
 
     def leading_exponents(self):
-        """Exponent tuples generating in(J) for grevlex.
+        """Exponent tuples generating in(J) for grevlex, kept on the ideal.
 
-        J's own exponents when every generator is a term (no basis), else
-        the leading monomials of the reduced grevlex basis.  R/J and
+        J's own exponents when every generator is a term (no basis), else the
+        leading monomials of the reduced basis the ideal holds, or with none, of
+        an uninterreduced kernel run (:func:`_leading_exponents`).  R/J and
         R/in(J) share dimension and Hilbert series.
         """
-        exps = self.monomial_exponents()
-        if exps is None:
-            exps = [next(iter(g.terms)) for g in self.groebner_basis()]
-        return exps
+        if self._lead is None:
+            exps = self.monomial_exponents()
+            if exps is None:
+                exps = (tuple([next(iter(g.terms)) for g in self._gb]) if self._gb is not None
+                        else _leading_exponents(self.ring, [g.terms for g in self.gens if g.terms]))
+            self._lead = exps
+        return self._lead
 
     def hilbert_numerator(self):
         """Numerator N of HS(R/J) = N(t) / (1 - t)^n, computed once per ideal.
@@ -571,7 +590,7 @@ class Ideal:
         tuples, so only a generator set with a non-term needs a basis.
         Raises ValueError when the search passes DIM_SEARCH_BUDGET.
         """
-        return _dim_of_exponents(self.ring.n, tuple(self.leading_exponents()))
+        return _dim_of_exponents(self.ring.n, self.leading_exponents())
 
     def __str__(self):
         return "(" + ", ".join(str(g) for g in self.gens) + ")"

@@ -429,9 +429,9 @@ def _tokenize(text, ring):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: str.isdigit also takes '²' and '٣'
             j = i
-            while j < size and text[j].isdigit():
+            while j < size and "0" <= text[j] <= "9":
                 j += 1
             try:
                 tokens.append(("int", int(text[i:j]), i))

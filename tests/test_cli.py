@@ -228,6 +228,16 @@ def test_parser_refuses_coefficient_bombs(expr):
     assert code == EXIT_OK and report["status"] == "ok"
 
 
+@pytest.mark.parametrize("expr", ["X\u00b2", "X^\u00b2", "\u0663*X"])
+def test_digits_outside_ascii_are_refused(expr, capsys):
+    from redsop.cli import main
+
+    code = main(["run", "-e", f"ring [X,Y] p=32003\nideal {expr}\ndim\n"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_INPUT_ERROR and report["status"] == "input_error"
+    assert "unexpected character" in report["error"], report
+
+
 def test_non_homogeneous_input_rejected():
     report, code = run("ring [X,Y] p=32003\nideal X^2 + Y\ndim\n")
     assert code == EXIT_INPUT_ERROR

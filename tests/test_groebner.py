@@ -17,6 +17,7 @@ from redsop import (
 )
 from redsop.corpus import CorpusSpec, default_ring, fixtures, random_monomial_ideal
 from redsop.monomial import monomial_intersection, oracle_dim
+from redsop.poly import monomials_of_degree
 from redsop.sop import _random_invertible
 from redsop.suites import run_suites
 
@@ -252,6 +253,80 @@ def test_monomial_dimension_edge_cases(R, no_basis):
     pairs = wide.ideal(*(f"x{2 * i}*x{2 * i + 1}" for i in range(20)))
     with pytest.raises(ValueError, match="too large"):
         pairs.dim_quotient()
+
+
+def _random_generators(ring, rng, homogeneous, scale):
+    """2-4 generators with small coefficients, the first of 2-3 terms; each of one
+    degree when ``homogeneous``; every exponent multiplied by ``scale``."""
+    gens = []
+    for k in range(rng.randint(2, 4)):
+        degree = rng.randint(1, 3)
+        terms = {}
+        for _ in range(rng.randint(2, 3) if k == 0 else rng.randint(1, 3)):
+            m = (rng.choice(monomials_of_degree(ring.n, degree)) if homogeneous
+                 else tuple(rng.randint(0, 2) for _ in range(ring.n)))
+            terms[tuple(scale * e for e in m)] = rng.choice((1, -1, 2, 3, -5))
+        gens.append(Polynomial(ring, terms))
+    return gens
+
+
+def _basis_answers(gens):
+    """(leading exponents, is_zero, is_unit) read off buchberger's reduced basis."""
+    basis = buchberger(gens)
+    return (tuple(next(iter(g.terms)) for g in basis), not basis,
+            len(basis) == 1 and basis[0].degree() == 0)
+
+
+@pytest.mark.parametrize("p", [32003, 2, 3, 0])
+def test_leading_exponents_without_interreduction_match_the_reduced_basis(p):
+    rng = random.Random(f"leading:{p}")
+    for n in (2, 3, 4):
+        ring = PolyRing(tuple("XYZW"[:n]), p)
+        cases = [[ring.zero], [ring.poly("X + 1"), ring.poly("X")], [ring.poly("X*Y - 1")]]
+        cases += [_random_generators(ring, rng, k % 2 == 0, 300 if k % 3 == 0 else 1)
+                  for k in range(24)]
+        for gens in cases:
+            lead, zero, unit = _basis_answers(gens)
+            nonzero = [g.terms for g in gens if g.terms]
+            if any(len(t) > 1 for t in nonzero):
+                assert groebner._leading_exponents(ring, nonzero) == lead, gens
+            J = Ideal(ring, gens)
+            assert J.is_zero() == zero and J.is_unit() == unit and J.is_proper() != unit, gens
+            if J.monomial_exponents() is None:
+                assert J.leading_exponents() == lead
+            assert J.dim_quotient() == groebner.monomial_dim_core(n, lead)[0]
+        assert Ideal(ring, ()).is_zero() and not Ideal(ring, ()).is_unit()
+
+
+def test_leading_exponents_survive_a_field_widening_restart(monkeypatch):
+    ring = PolyRing(("X", "Y", "Z"), 32003)
+    gens = [ring.poly("X^3 + Y^2*Z"), ring.poly("X*Y*Z - Z^3"), ring.poly("Y^3 - X*Z^2")]
+    want = _basis_answers(gens)[0]
+    kernel, packings = groebner._buchberger_raw, []
+
+    def overflow_once(polys, packing, p):
+        # a full first run that then reports an overflow, as a late leading monomial would
+        packings.append(packing)
+        basis = kernel(polys, packing, p)
+        if len(packings) == 1:
+            raise OverflowError("a leading monomial outgrew half its packed fields")
+        return basis
+
+    monkeypatch.setattr(groebner, "_buchberger_raw", overflow_once)
+    assert groebner._leading_exponents(ring, [g.terms for g in gens]) == want
+    assert len(packings) == 2 and packings[1].half > packings[0].half
+
+
+def test_dimension_numerator_and_units_cache_no_basis(R, monkeypatch):
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})
+    J = R.ideal("X^2 + YZ", "XY - Z^2")
+    assert J.dim_quotient() == 1 and J.hilbert_numerator() == (1, 0, -2, 0, 1)
+    assert J.is_proper() and not J.is_zero()
+    assert groebner._GB_CACHE == {}
+    # the reduced basis still goes through the cache, with the same leading exponents
+    basis = J.groebner_basis()
+    assert list(groebner._GB_CACHE.values()) == [basis]
+    assert J.leading_exponents() == tuple(next(iter(g.terms)) for g in basis)
 
 
 def _change_coordinates(J, rng):

@@ -142,25 +142,27 @@ def test_each_ideal_computes_its_numerator_once(monkeypatch):
 
 def test_each_prefix_ideal_is_built_once(monkeypatch, R, M):
     """A reducing check of a part, and the construction with its final
-    check, compute each prefix ideal's basis and numerator once."""
+    check, run the kernel and compute the numerator once per prefix ideal."""
     built = collections.Counter()
-    basis = groebner.buchberger
+    kernel = groebner._buchberger_raw
     numerator = monomial.hilbert_numerator
 
-    def counted_basis(gens, order=groebner.GREVLEX):
-        built[tuple(map(str, gens)), order] += 1
-        return basis(gens, order)
+    def counted_kernel(polys, packing, p):
+        # keyed by the packed input, read before the kernel takes the leading terms out
+        built[tuple((tuple(sorted(t.items())), s) for t, s in polys), packing] += 1
+        return kernel(polys, packing, p)
 
     def counted_numerator(n, exps):
         built[tuple(exps)] += 1
         return numerator(n, exps)
 
-    monkeypatch.setattr(groebner, "buchberger", counted_basis)
+    monkeypatch.setattr(groebner, "_buchberger_raw", counted_kernel)
     monkeypatch.setattr(monomial, "hilbert_numerator", counted_numerator)
     ring = PolyRing(("X", "Y", "Z", "W"))
     N = CyclicModule(ring.ideal("XY", "XZ"))  # dimension 3
     assert is_reducing_sop(ParamSequence.parse(ring, "X+Y; Z+W"), N).ok
-    # (XY, XZ), then one basis and one numerator for each of the two prefixes
+    # the numerator of (XY, XZ), which needs no kernel, then one kernel run and
+    # one numerator for each of the two prefixes
     assert sorted(built.values()) == [1] * 5, built
     built.clear()
     assert construct_reducing_part_in_prime(M, R.ideal("X", "Y"), 1, seed=5).ok

@@ -9,6 +9,7 @@ from redsop import (
     EliminationOrder,
     ParseError,
     PolyRing,
+    parse_poly,
 )
 from redsop.corpus import random_monomial
 from redsop.groebner import _Packing, _TagOrder
@@ -55,6 +56,14 @@ def test_parse_syntax_error_position(R):
 def test_parse_rejects_trailing_garbage(R):
     with pytest.raises(ParseError):
         R.poly("X + Y)")
+
+
+@pytest.mark.parametrize("text, position", [("X\u00b2", 1), ("X^\u00b2", 2), ("\u0663*X", 0)])
+def test_parse_refuses_digits_outside_ascii(R, text, position):
+    # str.isdigit accepts a superscript two and an Arabic-Indic three; the parser does not
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_poly(text, R)
+    assert err.value.position == position
 
 
 def test_longest_variable_name_wins():

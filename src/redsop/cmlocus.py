@@ -16,7 +16,6 @@ proven non-member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import random
 
 from .groebner import Ideal
@@ -28,6 +27,7 @@ from .monomial import (
     monomial_primes_over,
     monomials_in_prime,
 )
+from .poly import _Record
 from .sop import (
     RETRIES,
     ConstructionResult,
@@ -40,8 +40,7 @@ from .sop import (
 )
 
 
-@dataclass
-class CmLocusEntry:
+class CmLocusEntry(_Record):
     """Membership verdict for one prime, with enough data to re-verify.
 
     For members, dim R/P + r = dim M always holds.  ``certificate`` holds
@@ -54,14 +53,16 @@ class CmLocusEntry:
     carry it.
     """
 
-    prime: object  # MonomialPrime or Ideal (asserted prime)
-    status: str
-    dim_point: int
-    r: int | None = None
-    dim_local: int | None = None
-    depth_local: int | None = None
-    certificate: ParamSequence | None = None
-    reason: str = ""
+    __slots__ = _fields = ("prime", "status", "dim_point", "r", "dim_local", "depth_local",
+                           "certificate", "reason")
+    __hash__ = None
+
+    def __init__(self, prime, status, dim_point, r=None, dim_local=None, depth_local=None,
+                 certificate=None, reason=""):
+        self.prime = prime  # MonomialPrime or Ideal (asserted prime)
+        self.status, self.dim_point, self.r = status, dim_point, r
+        self.dim_local, self.depth_local = dim_local, depth_local
+        self.certificate, self.reason = certificate, reason
 
     @property
     def member(self):
@@ -198,6 +199,7 @@ def cm_membership_general(P, M, seed):
     oracle, where membership means M itself is Cohen-Macaulay.
     """
     _check_prime(P, M)
+    P.groebner_basis()  # the one kernel run: is_proper reads its leading monomials
     if not P.is_proper():
         raise ValueError("P must be proper")
     d = M.d

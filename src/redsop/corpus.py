@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 
 from .groebner import _dim_core, _minimal_supports, _monomial_ideal
-from .poly import Polynomial, PolyRing, monomials_of_degree
+from .poly import Polynomial, PolyRing, _Record, monomials_of_degree
 from .sop import CyclicModule, ParamSequence
 
 _VAR_POOL = ("X", "Y", "Z", "W", "V", "U", "T", "S")
@@ -26,18 +25,16 @@ MAX_DEGREE = 4
 BOUND_LIMIT = 64
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(_Record):
     """Bounds for random monomial-ideal fixtures."""
 
-    n: int = 3
-    max_gens: int = 4
-    max_degree: int = 3
-    squarefree: bool = False
-    count: int = 10
-    seed: int = 0
-    p: int = 32003
-    force: bool = False
+    __slots__ = _fields = ("n", "max_gens", "max_degree", "squarefree", "count", "seed", "p",
+                           "force")
+
+    def __init__(self, n=3, max_gens=4, max_degree=3, squarefree=False, count=10, seed=0,
+                 p=32003, force=False):
+        self.n, self.max_gens, self.max_degree = n, max_gens, max_degree
+        self.squarefree, self.count, self.seed, self.p, self.force = squarefree, count, seed, p, force
 
     def validate(self):
         if self.count < 1:

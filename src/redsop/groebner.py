@@ -51,7 +51,6 @@ accessor: J is the unit ideal exactly when in(J) holds a constant.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from operator import mul
 
 from .poly import (
@@ -60,6 +59,7 @@ from .poly import (
     HomogeneityError,
     Polynomial,
     PolyRing,
+    _Record,
     _nf_raw,
     mono_divides,
 )
@@ -349,11 +349,13 @@ def _tag_name(ring):
     return name
 
 
-@dataclass(frozen=True)
-class _TagOrder:
+class _TagOrder(_Record):
     """Grevlex on R[y], the tag y placed last and counted in degree ``weight``."""
 
-    weight: int
+    __slots__ = _fields = ("weight",)
+
+    def __init__(self, weight):
+        self.weight = weight
 
     def key(self, exps):
         return (sum(exps) + (self.weight - 1) * exps[-1], tuple(-e for e in reversed(exps)))

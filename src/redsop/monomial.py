@@ -26,13 +26,12 @@ ring's own field.  It makes no random draw and needs no Groebner basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from operator import and_
 
 from .groebner import Ideal, _minimalize_monomials, _monomial_ideal
-from .poly import Polynomial, PolyRing, mono_divides, mono_lcm
+from .poly import Polynomial, PolyRing, _Record, mono_divides, mono_lcm
 
 # monomial_primes lists all 2^n primes; beyond this many variables it refuses
 MONOMIAL_PRIME_VARS = 8
@@ -41,12 +40,14 @@ MONOMIAL_PRIME_VARS = 8
 LCM_LATTICE_BUDGET = 1 << 10
 
 
-@dataclass(frozen=True)
-class MonomialPrime:
+class MonomialPrime(_Record):
     """Prime generated by a subset of the variables; empty set is (0)."""
 
-    ring: PolyRing
-    vars: frozenset
+    _fields = ("ring", "vars")
+    __slots__ = _fields + ("__dict__",)  # the dict holds the cached indices
+
+    def __init__(self, ring, vars):
+        self.ring, self.vars = ring, vars
 
     @property
     def dim(self):
@@ -67,12 +68,14 @@ class MonomialPrime:
         return "(" + ", ".join(self.sorted_vars()) + ")"
 
 
-@dataclass(frozen=True)
-class IrreducibleComponent:
+class IrreducibleComponent(_Record):
     """Ideal generated by pure variable powers x_i^(a_i)."""
 
-    ring: PolyRing
-    powers: tuple  # ((var_index, exponent), ...) sorted by index
+    __slots__ = _fields = ("ring", "powers")
+
+    def __init__(self, ring, powers):
+        self.ring = ring
+        self.powers = powers  # ((var_index, exponent), ...) sorted by index
 
     def to_ideal(self):
         n = self.ring.n

@@ -11,9 +11,8 @@ beyond a memo of the primality check on the characteristic.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, le
+from operator import add, attrgetter, le
 
 
 class ParseError(ValueError):
@@ -26,6 +25,38 @@ class ParseError(ValueError):
 
 class HomogeneityError(ValueError):
     """Raised where the graded model requires homogeneous input."""
+
+
+class _Record:
+    """Equality, hashing and repr read off the class's ``_fields``, as a dataclass has them.
+
+    Two instances are equal when they are of one class with equal fields; they hash as
+    the tuple of their fields and show as ``Name(field=value, ...)``.  A mutable record
+    sets ``__hash__ = None``.  ``_key``, that tuple, is an attrgetter (a C call) from two
+    fields on: ring comparisons and prime hashes sit on hot paths.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        fields = cls._fields
+        cls._key = property(attrgetter(*fields) if len(fields) > 1
+                            else lambda self: tuple([getattr(self, f) for f in fields]))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -82,7 +113,7 @@ def monomials_of_degree(n, d):
 
 
 # ---------------------------------------------------------------------------
-# monomial orders: frozen objects whose ``key`` sorts exponent tuples into a
+# monomial orders: immutable values whose ``key`` sorts exponent tuples into a
 # total multiplicative order; ``rows(n)`` gives it as nonnegative weight rows
 # compared in turn, then the exponents lexicographically
 
@@ -90,8 +121,8 @@ def _grev_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-@dataclass(frozen=True)
-class GrevlexOrder:
+class GrevlexOrder(_Record):
+    __slots__ = ()
     key = staticmethod(_grev_key)
 
     @staticmethod
@@ -99,8 +130,9 @@ class GrevlexOrder:
         return EliminationOrder(0).rows(n)
 
 
-@dataclass(frozen=True)
-class LexOrder:
+class LexOrder(_Record):
+    __slots__ = ()
+
     def key(self, exps):
         return exps
 
@@ -108,15 +140,17 @@ class LexOrder:
         return []
 
 
-@dataclass(frozen=True)
-class EliminationOrder:
+class EliminationOrder(_Record):
     """Block order that eliminates the first ``first`` variables.
 
     Both blocks are compared by grevlex; any monomial involving an
     eliminated variable is larger than any monomial that avoids them all.
     """
 
-    first: int
+    __slots__ = _fields = ("first",)
+
+    def __init__(self, first):
+        self.first = first
 
     def key(self, exps):
         k = self.first
@@ -137,8 +171,7 @@ LEX = LexOrder()
 # ---------------------------------------------------------------------------
 # rings
 
-@dataclass(frozen=True)
-class PolyRing:
+class PolyRing(_Record):
     """Graded polynomial ring k[x1..xn] with every variable in degree one.
 
     ``p`` selects the coefficient field: a prime for GF(p), 0 for the
@@ -148,15 +181,14 @@ class PolyRing:
     the graded side throughout the package.
     """
 
-    var_names: tuple[str, ...]
-    p: int = 32003
-    # len(var_names), read on every monomial built; not compared, hashed or shown
-    n: int = field(init=False, compare=False, repr=False)
+    _fields = ("var_names", "p")
+    # n = len(var_names), read on every monomial built; not compared, hashed or shown
+    __slots__ = _fields + ("n",)
 
-    def __post_init__(self):
-        names = tuple(self.var_names)
-        object.__setattr__(self, "var_names", names)
-        object.__setattr__(self, "n", len(names))
+    def __init__(self, var_names, p=32003):
+        names = self.var_names = tuple(var_names)
+        self.p = p
+        self.n = len(names)
         if len(names) < 1:
             raise ValueError("a ring needs at least one variable")
         if len(set(names)) != len(names):

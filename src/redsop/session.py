@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import re
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -31,7 +30,7 @@ from .cmlocus import cm_membership_general, cm_membership_monomial, cm_locus_mon
 from .corpus import BOUND_LIMIT, default_ring, fixtures
 from .groebner import Ideal
 from .monomial import MonomialPrime, ass_monomial, assh_monomial
-from .poly import PolyRing
+from .poly import PolyRing, _Record
 from .sop import (
     CyclicModule,
     ParamSequence,
@@ -82,17 +81,17 @@ class SessionError(ValueError):
         self.line_no = line_no
 
 
-@dataclass
-class SessionInput:
-    ring: PolyRing | None = None
-    ideal: Ideal | None = None
-    ideal_texts: tuple = ()
-    sequences: dict = field(default_factory=dict)
-    primes: dict = field(default_factory=dict)
-    command: str | None = None
-    arg: str = ""
-    seed: int | None = None
-    output: str | None = None
+class SessionInput(_Record):
+    __slots__ = _fields = ("ring", "ideal", "ideal_texts", "sequences", "primes", "command",
+                           "arg", "seed", "output")
+    __hash__ = None
+
+    def __init__(self, ring=None, ideal=None, ideal_texts=(), sequences=None, primes=None,
+                 command=None, arg="", seed=None, output=None):
+        self.ring, self.ideal, self.ideal_texts = ring, ideal, ideal_texts
+        self.sequences = {} if sequences is None else sequences
+        self.primes = {} if primes is None else primes
+        self.command, self.arg, self.seed, self.output = command, arg, seed, output
 
 
 def parse_session(text):
@@ -108,7 +107,7 @@ def parse_session(text):
                 m = _RING_RE.match(rest)
                 if not m:
                     raise SessionError("expected: ring [A,B,C] p=<char|0>", line_no)
-                p = int(m.group(2)) if m.group(2) is not None else 32003
+                p = _integer(m.group(2)) if m.group(2) is not None else 32003
                 session.ring = PolyRing(_comma_list(m.group(1)), p)
             elif head == "ideal":
                 _need_ring(session, line_no)
@@ -130,7 +129,7 @@ def parse_session(text):
                     raise SessionError("expected: prime <name>: g1, g2, ...", line_no)
                 session.primes[name] = Ideal(session.ring, gens)
             elif head == "seed":
-                session.seed = int(rest)
+                session.seed = _integer(rest)
             elif head == "output":
                 if rest not in ("structured", "human"):
                     raise SessionError("output must be 'structured' or 'human'", line_no)
@@ -154,6 +153,14 @@ def parse_session(text):
 def _need_ring(session, line_no):
     if session.ring is None:
         raise SessionError("declare the ring first", line_no)
+
+
+def _integer(value):
+    """An int, or text as int() reads it but in ASCII digits with no underscore:
+    ``seed \u0667`` and ``seed 1_0`` are refused, not run as seeds 7 and 10."""
+    if isinstance(value, str) and (not value.isascii() or "_" in value):
+        raise ValueError(f"expected an integer in ASCII digits, got {value!r}")
+    return int(value)
 
 
 def _comma_list(text):
@@ -292,15 +299,15 @@ def check_theorems(report, suites, options, seed):
     count = None
     for key, val in options:
         if key == "count":
-            count = int(val)
+            count = _integer(val)
             if count < 1:
                 raise ValueError(f"count must be at least 1, got {count}")
         elif key == "vars":
-            opts["n_values"] = tuple(int(v) for v in val.split(","))
+            opts["n_values"] = tuple(_integer(v) for v in val.split(","))
             for n in opts["n_values"]:
                 default_ring(n)  # rejects variable counts the suites cannot build
         elif key in ("max-gens", "max-degree"):
-            bound = int(val)
+            bound = _integer(val)
             if bound < 1:
                 raise ValueError(f"{key} must be at least 1, got {bound}")
             if bound > BOUND_LIMIT:
@@ -483,7 +490,7 @@ def _dispatch(session, seed, report):
         arg = session.arg.strip()
         if not arg:
             raise ValueError("expected: cm-locus <r>")
-        r = int(arg)
+        r = _integer(arg)
         entries = cm_locus_monomial_r(M, r, seed)
         report["r"] = r
         report["entries"] = [_entry_dict(e) for e in entries]

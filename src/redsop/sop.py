@@ -47,7 +47,6 @@ identities against the combinatorial oracle on monomial input.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import accumulate, zip_longest
 
 from .groebner import Ideal
@@ -60,6 +59,7 @@ from .monomial import (
 from .poly import (
     HomogeneityError,
     Polynomial,
+    _Record,
     monomials_of_degree,
 )
 
@@ -78,8 +78,7 @@ class RetryBudgetError(RuntimeError):
     """
 
 
-@dataclass
-class CyclicModule:
+class CyclicModule(_Record):
     """M = R/I for a proper homogeneous ideal I; caches d = dim M.
 
     The module is its ideal: ``CyclicModule(R.ideal("XY", "XZ"))`` is
@@ -87,11 +86,12 @@ class CyclicModule:
     exactly when their ideals are.
     """
 
-    ideal: Ideal
-    d: int = field(init=False)
+    __slots__ = _fields = ("ideal", "d")
+    __hash__ = None
 
-    def __post_init__(self):
-        for g in self.ideal.gens:
+    def __init__(self, ideal):
+        self.ideal = ideal
+        for g in ideal.gens:
             if not g.is_homogeneous():
                 raise HomogeneityError(f"generator {g} is not homogeneous")
         if not self.ideal.is_proper():
@@ -159,8 +159,7 @@ class ParamSequence:
         return "; ".join(str(x) for x in self.elems)
 
 
-@dataclass
-class ViolationWitness:
+class ViolationWitness(_Record):
     """Certificate for a failed sequence check.
 
     ``kind`` is ``"not_system_of_parameters"`` (the quotient dimension is
@@ -171,44 +170,47 @@ class ViolationWitness:
     explicit monomial witness when the oracle applies.
     """
 
-    kind: str
-    dim: int
-    index: int | None = None
-    threshold: int | None = None
-    ideal: Ideal | None = None
-    prime: object | None = None
+    __slots__ = _fields = ("kind", "dim", "index", "threshold", "ideal", "prime")
+    __hash__ = None
+
+    def __init__(self, kind, dim, index=None, threshold=None, ideal=None, prime=None):
+        self.kind, self.dim, self.index = kind, dim, index
+        self.threshold, self.ideal, self.prime = threshold, ideal, prime
 
 
-@dataclass
-class ReducingCheck:
-    ok: bool
-    witness: ViolationWitness | None = None
+class ReducingCheck(_Record):
+    __slots__ = _fields = ("ok", "witness")
+    __hash__ = None
+
+    def __init__(self, ok, witness=None):
+        self.ok, self.witness = ok, witness
 
     def __bool__(self):
         return self.ok
 
 
-@dataclass
-class ConstructionResult:
+class ConstructionResult(_Record):
     """Outcome of a verified randomized construction."""
 
-    ok: bool
-    sequence: ParamSequence | None
-    attempts: int
-    witness: ViolationWitness | None = None
+    __slots__ = _fields = ("ok", "sequence", "attempts", "witness")
+    __hash__ = None
+
+    def __init__(self, ok, sequence, attempts, witness=None):
+        self.ok, self.sequence, self.attempts, self.witness = ok, sequence, attempts, witness
 
 
-@dataclass
-class CmCertificate:
+class CmCertificate(_Record):
     """Data behind a Cohen-Macaulay verdict from the reducing-sop test.
 
     ``last_is_nzd`` says whether the last element of the reducing sop is
     a non-zero-divisor modulo the others, decided by Hilbert series.
     """
 
-    d: int
-    sop: ParamSequence | None
-    last_is_nzd: bool | None
+    __slots__ = _fields = ("d", "sop", "last_is_nzd")
+    __hash__ = None
+
+    def __init__(self, d, sop, last_is_nzd):
+        self.d, self.sop, self.last_is_nzd = d, sop, last_is_nzd
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from .cmlocus import (
     cm_locus_monomial_r,
@@ -45,7 +44,7 @@ from .monomial import (
     oracle_dim,
     restrict_monomial_poly,
 )
-from .poly import Polynomial, mono_lcm
+from .poly import Polynomial, _Record, mono_lcm
 from .sop import (
     CyclicModule,
     ParamSequence,
@@ -69,14 +68,16 @@ def example_module(p=32003):
     return CyclicModule(ring.ideal(*EXAMPLE_IDEAL_GENS))
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    instances: int = 0
-    checks: int = 0
-    violations: int = 0
-    first_counterexample: dict | None = None
-    target: int = 0  # instances the driver asks for; not reported
+class SuiteResult(_Record):
+    __slots__ = _fields = ("name", "instances", "checks", "violations", "first_counterexample",
+                           "target")
+    __hash__ = None
+
+    def __init__(self, name, instances=0, checks=0, violations=0, first_counterexample=None,
+                 target=0):
+        self.name, self.instances, self.checks = name, instances, checks
+        self.violations, self.first_counterexample = violations, first_counterexample
+        self.target = target  # instances the driver asks for; not reported
 
     @property
     def passed(self):

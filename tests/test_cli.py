@@ -238,6 +238,44 @@ def test_digits_outside_ascii_are_refused(expr, capsys):
     assert "unexpected character" in report["error"], report
 
 
+@pytest.mark.parametrize("text", [
+    "ring [X,Y] p=\u0663\nideal XY\ndim\n",
+    FIXTURE + "seed \u0667\ndim\n",
+    FIXTURE + "seed 1_0\ndim\n",
+    FIXTURE + "cm-locus \u0661\n",
+    FIXTURE + "cm-locus 0_1\n",
+    "check-theorems dimension-filter count=\u0661\n",
+    "check-theorems dimension-filter count=0_1\n",
+    "check-theorems dimension-filter count=1 vars=3,\u0663\n",
+    "check-theorems dimension-filter count=1 max-gens=\uff12\n",
+    "check-theorems dimension-filter count=1 max-degree=0_2\n",
+], ids=["p", "seed", "seed_", "r", "r_", "count", "count_", "vars", "max-gens", "max-degree_"])
+def test_session_integers_are_ascii_digits(text, capsys):
+    from redsop.cli import main
+
+    report, code = run(text)
+    assert code == EXIT_INPUT_ERROR and report["status"] == "input_error", report
+    assert "expected an integer in ASCII digits" in report["error"]
+    assert main(["run", "-e", text]) == EXIT_INPUT_ERROR
+    assert json.loads(capsys.readouterr().out) == report
+
+
+@pytest.mark.parametrize("text,same", [
+    (FIXTURE + "seed +3\ndepth\n", FIXTURE + "seed 3\ndepth\n"),
+    (FIXTURE + "seed -0\ndepth\n", FIXTURE + "seed 0\ndepth\n"),
+    ("ring [X,Y,Z] p=007\nideal XY, XZ\ndim\n", "ring [X,Y,Z] p=7\nideal XY, XZ\ndim\n"),
+    (FIXTURE + "cm-locus 01\n", FIXTURE + "cm-locus 1\n"),
+    ("check-theorems dimension-filter count=+2 vars=03,4\n",
+     "check-theorems dimension-filter count=2 vars=3,4\n"),
+])
+def test_session_integers_read_as_before(text, same):
+    report, code = run(text)
+    want, want_code = run(same)
+    assert code == want_code == EXIT_OK
+    assert {k: v for k, v in report.items() if k != "input"} == {
+        k: v for k, v in want.items() if k != "input"}
+
+
 def test_non_homogeneous_input_rejected():
     report, code = run("ring [X,Y] p=32003\nideal X^2 + Y\ndim\n")
     assert code == EXIT_INPUT_ERROR

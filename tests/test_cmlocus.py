@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 
 from redsop import (
@@ -9,6 +11,7 @@ from redsop import (
     cm_membership_general,
     cm_membership_monomial,
     construct_reducing_part_in_prime,
+    groebner,
     is_reducing_sop,
 )
 from redsop.sop import RETRIES
@@ -128,6 +131,27 @@ def test_general_membership_top_stratum(R, M):
     # dim R/P = d forces membership (minimal prime of maximal dimension)
     entry = cm_membership_general(R.ideal("X"), M, seed=5)
     assert entry.member and entry.r == 0
+
+
+@pytest.mark.parametrize("gens,status", [(("X", "Y+Z"), "member"),
+                                         (("Y", "X+Z"), "non_member"),
+                                         (("Y+Z", "Y-Z"), "inconclusive"),
+                                         (("X+Y", "X-Y", "Z"), "non_member")])
+def test_general_membership_runs_the_kernel_once_per_prime(monkeypatch, R, M, gens, status):
+    """The properness check, the support test and the dimension of R/P read
+    one kernel run on P's generators, as does every other ideal built."""
+    built = collections.Counter()
+    kernel = groebner._buchberger_raw
+
+    def counted_kernel(polys, packing, p):
+        # keyed by the packed input, read before the kernel takes the leading terms out
+        built[tuple((tuple(sorted(t.items())), s) for t, s in polys), packing] += 1
+        return kernel(polys, packing, p)
+
+    monkeypatch.setattr(groebner, "_buchberger_raw", counted_kernel)
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})  # no basis from an earlier test
+    assert cm_membership_general(R.ideal(*gens), M, seed=5).status == status
+    assert built and set(built.values()) == {1}, built
 
 
 def test_general_membership_requires_homogeneous_prime(R, M):

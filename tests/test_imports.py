@@ -3,10 +3,14 @@ module-level definition is referenced somewhere in src, tests or bench
 (a private one in src itself, a public one that the package does not
 re-export in src or bench), and so is every method or property of a
 redsop class; some call in src, tests or bench sets every parameter
-that has a default."""
+that has a default.  No module imports ``dataclasses``, whose import
+(``inspect``, ``ast``, ``dis``, ``tokenize``) and generated methods cost
+every redsop process about a third of its start-up."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -284,3 +288,33 @@ def test_no_unset_parameters():
                for p in sorted((ROOT / top).rglob("*.py"))]
     modules = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unset_parameters(modules, sources) == []
+
+
+def imported_modules(source):
+    """Top-level names of the modules an import statement loads; a relative import loads its own package."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_detector_sees_dataclasses_imports():
+    assert "dataclasses" in imported_modules("from dataclasses import dataclass\n")
+    assert "dataclasses" in imported_modules("def f():\n    import dataclasses.x as d\n")
+    assert "dataclasses" not in imported_modules("from .dataclasses import x\nimport json\n")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_imports_dataclasses(path):
+    assert "dataclasses" not in imported_modules(path.read_text())
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys, redsop.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(ROOT / "src")}, timeout=60, check=True)
+    assert proc.stdout == "[]\n", proc.stdout + proc.stderr

@@ -19,15 +19,22 @@ from .corpus import CorpusSpec
 from .session import (
     EXIT_INPUT_ERROR,
     SCHEMA,
+    _integer,
     check_theorems,
     corpus_report,
     error_status,
     render_human,
     render_report,
+    report_head,
     run_block_with_output,
 )
 
 SEED_ENV = "REDSOP_SEED"
+
+
+def integer(text):
+    """An integer in ASCII digits, as session text has them; argparse shows this name."""
+    return _integer(text)
 
 
 def _seed(args):
@@ -38,7 +45,7 @@ def _seed(args):
     if value is None:
         return None
     try:
-        return int(value)
+        return _integer(value)
     except ValueError:
         raise ValueError(f"{SEED_ENV} must be an integer, got {value!r}") from None
 
@@ -105,8 +112,7 @@ def _cmd_check(args):
     options = [(key, value) for key, value in given if value is not None]
     try:
         seed = _seed(args) or 0
-        report = {"schema": SCHEMA, "command": "check-theorems", "seed": seed,
-                  "status": "ok", "timing_ms": None}
+        report = report_head("check-theorems", seed)
         code = check_theorems(report, args.suites, options, seed)
     except Exception as exc:
         report, code = _error_report("check-theorems", exc)
@@ -126,20 +132,20 @@ def build_parser():
     run_p.add_argument("target", nargs="?",
                        help="session file, or '-' for standard input")
     run_p.add_argument("-e", "--expr", help="inline session text")
-    run_p.add_argument("--seed", type=int, help="default seed when the session has none")
+    run_p.add_argument("--seed", type=integer, help="default seed when the session has none")
     run_p.add_argument("--human", action="store_true", help="render the report as text")
     run_p.add_argument("--timings", action="store_true",
                        help="fill in timing_ms (breaks byte-reproducibility)")
     run_p.set_defaults(fn=_cmd_run)
 
     corpus_p = sub.add_parser("corpus", help="emit deterministic monomial-ideal fixtures")
-    corpus_p.add_argument("--count", type=int, default=10)
-    corpus_p.add_argument("--vars", type=int, default=3, help="number of variables")
-    corpus_p.add_argument("--max-gens", type=int, default=4)
-    corpus_p.add_argument("--max-degree", type=int, default=3)
+    corpus_p.add_argument("--count", type=integer, default=10)
+    corpus_p.add_argument("--vars", type=integer, default=3, help="number of variables")
+    corpus_p.add_argument("--max-gens", type=integer, default=4)
+    corpus_p.add_argument("--max-degree", type=integer, default=3)
     corpus_p.add_argument("--squarefree", action="store_true")
-    corpus_p.add_argument("--characteristic", type=int, default=32003)
-    corpus_p.add_argument("--seed", type=int)
+    corpus_p.add_argument("--characteristic", type=integer, default=32003)
+    corpus_p.add_argument("--seed", type=integer)
     corpus_p.add_argument("--command", default="dim",
                           help="command embedded in every fixture block")
     corpus_p.add_argument("--force", action="store_true",
@@ -150,12 +156,12 @@ def build_parser():
     check_p = sub.add_parser("check", help="run the theorem-verification suites")
     check_p.add_argument("--suites", default="all",
                          help="comma-separated suite names, or 'all'")
-    check_p.add_argument("--count", type=int,
+    check_p.add_argument("--count", type=integer,
                          help="instances per suite (default: per-suite counts)")
-    check_p.add_argument("--seed", type=int)
+    check_p.add_argument("--seed", type=integer)
     check_p.add_argument("--vars", help="comma-separated variable counts, e.g. 2,3,4")
-    check_p.add_argument("--max-gens", type=int)
-    check_p.add_argument("--max-degree", type=int)
+    check_p.add_argument("--max-gens", type=integer)
+    check_p.add_argument("--max-degree", type=integer)
     check_p.add_argument("--human", action="store_true")
     check_p.set_defaults(fn=_cmd_check)
 

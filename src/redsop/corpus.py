@@ -1,10 +1,10 @@
 """Deterministic seeded corpora: random monomial ideals and sequences.
 
 All sampling goes through explicit :class:`random.Random` instances
-(Mersenne Twister), so a seed pins every fixture byte for byte, also
-where :func:`random_monomials` reads ``getrandbits`` as ``randrange``
-does.  Bounds default to desk scale and are enforced unless ``force`` is
-set; no generator-count or degree bound may pass BOUND_LIMIT, forced or not.
+(Mersenne Twister), so a seed pins every fixture byte for byte, also where
+:func:`random_monomial_exact` reads ``getrandbits`` as ``randrange`` does.
+Bounds default to desk scale and are enforced unless ``force`` is set; no
+generator-count or degree bound may pass BOUND_LIMIT, forced or not.
 """
 
 from __future__ import annotations
@@ -63,32 +63,33 @@ def default_ring(n, p=32003):
 
 
 def random_monomial_exact(rng, n, deg):
-    """Random exponent tuple of total degree exactly ``deg``."""
+    """Random exponent tuple of total degree exactly ``deg``: ``deg`` units on variables
+    ``rng.randrange(n)``, read off ``rng.getrandbits`` by ``randrange``'s rule (bit_length
+    bits, drawn again while they reach the bound) without its call layers."""
+    if n < 1:  # randrange refuses it; the loop would not end
+        raise ValueError(f"random monomials need n >= 1, got {n}")
+    bits, k = rng.getrandbits, n.bit_length()
     e = [0] * n
     for _ in range(deg):
-        e[rng.randrange(n)] += 1
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        e[r] += 1
     return tuple(e)
 
 
 def random_monomials(rng, n, max_degree, count):
-    """``count`` nonconstant exponent tuples, each ``rng.randint(1, max_degree)`` units on
-    variables ``rng.randrange(n)``, read off ``rng.getrandbits`` by ``randrange``'s rule
-    (bit_length bits, drawn again while they reach the bound) without its call layers."""
-    if n < 1 or max_degree < 1:  # randrange and randint refuse them; these loops would not end
-        raise ValueError(f"random monomials need n, max_degree >= 1, got {n}, {max_degree}")
-    bits, k, kd = rng.getrandbits, n.bit_length(), max_degree.bit_length()
+    """``count`` nonconstant exponent tuples of :func:`random_monomial_exact`, each of
+    degree ``rng.randint(1, max_degree)``, read off ``rng.getrandbits`` by the same rule."""
+    if max_degree < 1:  # randint refuses it; the loop would not end
+        raise ValueError(f"random monomials need max_degree >= 1, got {max_degree}")
+    bits, kd = rng.getrandbits, max_degree.bit_length()
     out = []
     for _ in range(count):
         deg = bits(kd)  # deg + 1 is the randint(1, max_degree) draw
         while deg >= max_degree:
             deg = bits(kd)
-        e = [0] * n
-        for _ in range(deg + 1):
-            r = bits(k)
-            while r >= n:
-                r = bits(k)
-            e[r] += 1
-        out.append(tuple(e))
+        out.append(random_monomial_exact(rng, n, deg + 1))
     return out
 
 

@@ -42,10 +42,10 @@ other ideal gives the leading monomials of its reduced grevlex basis
 when it holds one, else of one uninterreduced kernel run, kept on the
 ideal and never in the basis cache.  The same search returns the
 variables lying in every largest free set, which tells which monomials
-lower the dimension by one.  Memos of 256 entries keep it once per
-sorted set of minimal supports and once per exponent tuple.  The Hilbert
-test for non-zero-divisors, ``is_unit`` and ``is_zero`` read the same
-accessor: J is the unit ideal exactly when in(J) holds a constant.
+lower the dimension by one.  A memo of 256 entries keeps it once per
+sorted set of minimal supports.  The Hilbert test for non-zero-divisors,
+``is_unit`` and ``is_zero`` read the same accessor: J is the unit ideal
+exactly when in(J) holds a constant.
 """
 
 from __future__ import annotations
@@ -298,7 +298,10 @@ def _minimal_supports(exps):
         masks.add(mask)
     minimal = set()
     for mask in sorted(masks, key=int.bit_count):
-        if not any(s & mask == s for s in minimal):
+        for s in minimal:  # a loop, not any() over a generator: dim_quotient runs it on every call
+            if s & mask == s:
+                break
+        else:
             minimal.add(mask)
     return minimal
 
@@ -336,17 +339,16 @@ def _dim_core(n, supports):
     return largest((1 << n) - 1)
 
 
-@functools.lru_cache(maxsize=256)
-def _dim_of_exponents(n, exps):
-    return monomial_dim_core(n, exps)[0]
-
-
-def _tag_name(ring):
-    """A variable name the ring does not use, for a tag variable."""
+def _tag_ring(ring, first):
+    """(R[t], the lift R -> R[t]) for a tag t the ring does not name, placed first or last."""
     name = "t"
     while name in ring.var_names:
         name = name + "0"
-    return name
+    if first:
+        ext = PolyRing((name,) + ring.var_names, ring.p)
+        return ext, lambda g: Polynomial(ext, {(0,) + m: c for m, c in g.terms.items()}, _raw=True)
+    ext = PolyRing(ring.var_names + (name,), ring.p)
+    return ext, lambda g: Polynomial(ext, {m + (0,): c for m, c in g.terms.items()}, _raw=True)
 
 
 class _TagOrder(_Record):
@@ -537,11 +539,7 @@ class Ideal:
         if not (self.is_homogeneous() and f.is_homogeneous()):
             raise HomogeneityError("colons need a homogeneous ideal and element")
         ring = self.ring
-        ext = PolyRing(ring.var_names + (_tag_name(ring),), ring.p)
-
-        def lift(g):
-            return Polynomial(ext, {m + (0,): c for m, c in g.terms.items()}, _raw=True)
-
+        ext, lift = _tag_ring(ring, first=False)
         gens = [lift(g) for g in self.gens if g.terms]
         gens.append(ext.gen(ring.n) - lift(f))
         powers = [ring.one]  # f^k
@@ -567,11 +565,7 @@ class Ideal:
         if other.ring != self.ring:
             raise ValueError("ring mismatch")
         ring = self.ring
-        ext = PolyRing((_tag_name(ring),) + ring.var_names, ring.p)
-
-        def lift(g):
-            return Polynomial(ext, {(0,) + m: c for m, c in g.terms.items()}, _raw=True)
-
+        ext, lift = _tag_ring(ring, first=True)
         t = ext.gen(0)
         gens = [t * lift(a) for a in self.gens if a.terms]
         gens += [(ext.one - t) * lift(b) for b in other.gens if b.terms]
@@ -588,11 +582,10 @@ class Ideal:
         """Krull dimension of R/J; -1 when J is the unit ideal.
 
         The first component of :func:`monomial_dim_core` on
-        :meth:`leading_exponents`, memoized for the last 256 exponent
-        tuples, so only a generator set with a non-term needs a basis.
-        Raises ValueError when the search passes DIM_SEARCH_BUDGET.
+        :meth:`leading_exponents`, so only a generator set with a non-term
+        needs a basis.  Raises ValueError past DIM_SEARCH_BUDGET.
         """
-        return _dim_of_exponents(self.ring.n, self.leading_exponents())
+        return monomial_dim_core(self.ring.n, self.leading_exponents())[0]
 
     def __str__(self):
         return "(" + ", ".join(str(g) for g in self.gens) + ")"

@@ -27,7 +27,7 @@ ring's own field.  It makes no random draw and needs no Groebner basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from operator import and_
 
 from .groebner import Ideal, _minimalize_monomials, _monomial_ideal
@@ -44,10 +44,11 @@ class MonomialPrime(_Record):
     """Prime generated by a subset of the variables; empty set is (0)."""
 
     _fields = ("ring", "vars")
-    __slots__ = _fields + ("__dict__",)  # the dict holds the cached indices
+    __slots__ = _fields + ("indices",)  # vars' positions in the ring; not compared, hashed or shown
 
     def __init__(self, ring, vars):
         self.ring, self.vars = ring, vars
+        self.indices = tuple(i for i, n in enumerate(ring.var_names) if n in vars)
 
     @property
     def dim(self):
@@ -56,10 +57,6 @@ class MonomialPrime(_Record):
 
     def sorted_vars(self):
         return tuple(n for n in self.ring.var_names if n in self.vars)
-
-    @cached_property
-    def indices(self):
-        return tuple(i for i, n in enumerate(self.ring.var_names) if n in self.vars)
 
     def to_ideal(self):
         return Ideal(self.ring, tuple(self.ring.var(n) for n in self.sorted_vars()))

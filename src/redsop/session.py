@@ -250,22 +250,22 @@ def render_human(report):
 # ---------------------------------------------------------------------------
 # command dispatch
 
-def _resolve_sequence(session, arg):
+def _resolve(declared, arg, what, parse):
+    """What ``declared`` holds under the stripped ``arg``, else ``parse(arg)``; "" is refused."""
     arg = arg.strip()
     if not arg:
-        raise ValueError("missing parameter sequence argument")
-    if arg in session.sequences:
-        return session.sequences[arg]
-    return ParamSequence.parse(session.ring, arg)
+        raise ValueError(f"missing {what} argument")
+    return declared[arg] if arg in declared else parse(arg)
+
+
+def _resolve_sequence(session, arg):
+    return _resolve(session.sequences, arg, "parameter sequence",
+                    lambda text: ParamSequence.parse(session.ring, text))
 
 
 def _resolve_prime(session, arg):
-    arg = arg.strip()
-    if not arg:
-        raise ValueError("missing prime argument")
-    if arg in session.primes:
-        return session.primes[arg]
-    return Ideal(session.ring, _comma_list(arg))
+    return _resolve(session.primes, arg, "prime",
+                    lambda text: Ideal(session.ring, _comma_list(text)))
 
 
 def _as_monomial_prime(P):
@@ -332,6 +332,12 @@ def check_theorems(report, suites, options, seed):
     return EXIT_OK if report["passed"] else EXIT_INTERNAL
 
 
+def report_head(command, seed, status="ok", **fields):
+    """A report of schema, command, seed, status and an unfilled timing_ms, then ``fields``."""
+    return {"schema": SCHEMA, "command": command, "seed": seed, "status": status,
+            "timing_ms": None, **fields}
+
+
 def error_status(exc):
     """(status, error text, exit code) for an exception raised while answering."""
     if isinstance(exc, RetryBudgetError):
@@ -348,21 +354,14 @@ def error_status(exc):
 def run_command(session, default_seed=None, timings=False):
     """Dispatch one session; returns (report dict, exit code)."""
     seed = session.seed if session.seed is not None else (default_seed if default_seed is not None else 0)
-    report = {
-        "schema": SCHEMA,
-        "command": session.command,
-        "seed": seed,
-        "status": "ok",
-        "timing_ms": None,
-        "input": {
-            "ring": None if session.ring is None else {
-                "vars": list(session.ring.var_names),
-                "p": session.ring.p,
-            },
-            "ideal": list(session.ideal_texts),
-            "arg": session.arg,
+    report = report_head(session.command, seed, input={
+        "ring": None if session.ring is None else {
+            "vars": list(session.ring.var_names),
+            "p": session.ring.p,
         },
-    }
+        "ideal": list(session.ideal_texts),
+        "arg": session.arg,
+    })
     start = time.monotonic()
     try:
         code = _dispatch(session, seed, report)
@@ -509,16 +508,9 @@ def run_block_with_output(text, default_seed=None, timings=False):
     try:
         session = parse_session(text)
     except ValueError as exc:
-        report = {
-            "schema": SCHEMA,
-            "command": None,
-            "seed": default_seed if default_seed is not None else 0,
-            "status": "input_error",
-            "error": str(exc),
-            "timing_ms": None,
-            "input": {"ring": None, "ideal": [], "arg": ""},
-        }
-        return report, EXIT_INPUT_ERROR, None
+        return report_head(None, default_seed if default_seed is not None else 0,
+                           "input_error", error=str(exc),
+                           input={"ring": None, "ideal": [], "arg": ""}), EXIT_INPUT_ERROR, None
     return (*run_command(session, default_seed, timings), session.output)
 
 
@@ -544,22 +536,12 @@ def generate_corpus(spec, command="dim"):
 
 
 def corpus_report(spec, command="dim"):
-    blocks = generate_corpus(spec, command)
-    report = {
-        "schema": SCHEMA,
-        "command": "generate-corpus",
-        "seed": spec.seed,
-        "status": "ok",
-        "timing_ms": None,
-        "params": {
-            "n": spec.n,
-            "max_gens": spec.max_gens,
-            "max_degree": spec.max_degree,
-            "squarefree": spec.squarefree,
-            "count": spec.count,
-            "p": spec.p,
-            "fixture_command": command,
-        },
-        "fixtures": blocks,
-    }
-    return report, EXIT_OK
+    return report_head("generate-corpus", spec.seed, params={
+        "n": spec.n,
+        "max_gens": spec.max_gens,
+        "max_degree": spec.max_degree,
+        "squarefree": spec.squarefree,
+        "count": spec.count,
+        "p": spec.p,
+        "fixture_command": command,
+    }, fixtures=generate_corpus(spec, command)), EXIT_OK

@@ -558,17 +558,13 @@ def suite_locus_roundtrip(res, M, rng):
     for P in monomial_primes_over(M.ideal):
         r = d - P.dim
         exact = cm_membership_monomial(P, M, _sub_seed(rng)).member
-        if r == 0:
-            res.record(exact == (P in assh_monomial(M.ideal)),
-                       lambda: _fixture_detail(M, prime=P, law="r=0 members are Assh"))
+        if r == 0 or r >= d:
+            if r == 0:
+                res.record(exact == (P in assh_monomial(M.ideal)),
+                           lambda: _fixture_detail(M, prime=P, law="r=0 members are Assh"))
             general = cm_membership_general(P.to_ideal(), M, _sub_seed(rng))
-            res.record(general.member == exact,
-                       lambda: _fixture_detail(M, prime=P, law="general agrees at r=0"))
-            continue
-        if r >= d:
-            general = cm_membership_general(P.to_ideal(), M, _sub_seed(rng))
-            res.record(general.member == exact,
-                       lambda: _fixture_detail(M, prime=P, law="general agrees at r=d"))
+            res.record(general.member == exact, lambda: _fixture_detail(
+                M, prime=P, law="general agrees at r=" + ("0" if r == 0 else "d")))
             continue
         built = construct_reducing_part_in_prime(M, P.to_ideal(), r, _sub_seed(rng))
         res.record(built.ok == exact,

@@ -654,6 +654,46 @@ def test_non_integer_env_seed_is_input_error(argv, capsys, monkeypatch):
     assert main(argv + ["--seed", "1"]) == EXIT_OK
 
 
+_CHECK = ["check", "--suites", "dimension-filter", "--count", "1"]
+
+
+@pytest.mark.parametrize("argv,good", [
+    (["run", "-e", FIXTURE + "dim\n", "--seed", "\u0667"], "7"),
+    (["corpus", "--count", "\u0662"], "2"),
+    (["corpus", "--vars", "\u0663"], "3"),
+    (["corpus", "--max-gens", "\uff12"], "2"),
+    (["corpus", "--max-degree", "0_2"], "02"),
+    (["corpus", "--characteristic", "3_1"], "31"),
+    (["corpus", "--seed", "1_0"], "10"),
+    (["check", "--suites", "dimension-filter", "--count", "\u0661"], "1"),
+    (_CHECK + ["--seed", "\u0667"], "7"),
+    (_CHECK + ["--max-gens", "0_2"], "+2"),
+    (_CHECK + ["--max-degree", "\u0662"], "2"),
+])
+def test_cli_integers_are_ascii_digits(argv, good, capsys, monkeypatch):
+    from redsop.cli import main
+
+    monkeypatch.delenv("REDSOP_SEED", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert "invalid integer value" in capsys.readouterr().err
+    assert main(argv[:-1] + [good]) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [["run", "-e", FIXTURE + "dim\n"], _CHECK, ["corpus"]],
+                         ids=["run", "check", "corpus"])
+@pytest.mark.parametrize("env", ["1_0", "\u0667"])
+def test_env_seed_is_ascii_digits(argv, env, capsys, monkeypatch):
+    from redsop.cli import main
+
+    monkeypatch.setenv("REDSOP_SEED", env)
+    assert main(argv) == EXIT_INPUT_ERROR
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "input_error"
+    assert report["error"] == f"REDSOP_SEED must be an integer, got {env!r}"
+
+
 class _UnprintableMemoryError(MemoryError):
     def __str__(self):
         raise MemoryError

@@ -77,6 +77,13 @@ def _stdlib_monomial(rng, n, max_degree):
     return tuple(e)
 
 
+def _stdlib_exact(rng, n, deg):
+    e = [0] * n
+    for _ in range(deg):
+        e[rng.randrange(n)] += 1
+    return tuple(e)
+
+
 def test_monomial_draws_follow_the_stdlib_stream():
     for seed in range(200):
         ours, theirs = random.Random(seed), random.Random(seed)
@@ -86,6 +93,8 @@ def test_monomial_draws_follow_the_stdlib_stream():
                     theirs, n, max_degree)
                 assert corpus.random_monomials(ours, n, max_degree, 24) == [
                     _stdlib_monomial(theirs, n, max_degree) for _ in range(24)]
+                assert corpus.random_monomial_exact(ours, n, max_degree) == _stdlib_exact(
+                    theirs, n, max_degree)
         assert ours.random() == theirs.random()
 
 

@@ -157,6 +157,20 @@ def test_intersection(R):
     assert R.ideal("X").intersect(R.ideal("Y")) == R.ideal("XY")
 
 
+def test_tag_variable_avoids_the_ring_names():
+    # the tag is named t, else t0, t00, ...: here it must pass over both taken names
+    ring = PolyRing(("t", "t0", "x"))
+    J = ring.ideal("(t + t0) x", "(t + t0) t0")  # (t + t0) * (x, t0)
+    f = ring.poly("t + t0")
+    assert J.quotient(f) == J.saturation(f) == ring.ideal("x", "t0")
+    assert J.saturation(ring.poly("x + t0")) == ring.ideal("t + t0")
+    rng = random.Random(3)
+    for _ in range(20):
+        A = random_monomial_ideal(ring, rng, 4, 3)
+        B = random_monomial_ideal(ring, rng, 3, 3)
+        assert A.intersect(B) == monomial_intersection(A, B)
+
+
 def test_radical_membership(R):
     assert R.ideal("X^2").radical_contains(R.poly("X"))
     assert not R.ideal("XY", "XZ").radical_contains(R.poly("Y"))

@@ -449,6 +449,8 @@ PARSE_PRODUCT_BUDGET = 100_000
 PARSE_COEFF_BITS = 4096
 
 _OPERATORS = set("+-*^()")
+_TOO_MANY = f"expression too large: more than {PARSE_PRODUCT_BUDGET} term products"
+_TOO_WIDE = f"coefficient too large: more than {PARSE_COEFF_BITS} bits"
 
 
 def _tokenize(text, ring):
@@ -466,10 +468,15 @@ def _tokenize(text, ring):
             while j < size and "0" <= text[j] <= "9":
                 j += 1
             try:
-                tokens.append(("int", int(text[i:j]), i))
-            except ValueError:  # more digits than int() converts
-                raise ParseError(f"coefficient too large: more than {PARSE_COEFF_BITS} bits",
-                                 i) from None
+                value = int(text[i:j])
+            except ValueError:  # more digits than int() converts; a prime field reduces them
+                if not ring.p or tokens and tokens[-1][0] == "^":  # an exponent is not reduced
+                    raise ParseError(_TOO_WIDE, i) from None
+                value = 0
+                for s in range(i, j, 1000):  # fixed-size chunks: time linear in the digits
+                    chunk = text[s:min(s + 1000, j)]
+                    value = (value * pow(10, len(chunk), ring.p) + int(chunk)) % ring.p
+            tokens.append(("int", value, i))
             i = j
         elif ch.isalpha() or ch == "_":
             for name in names:
@@ -501,76 +508,98 @@ class _Parser:
         self.budget = PARSE_PRODUCT_BUDGET
 
     def mul(self, a, b, pos):
-        """a * b, refused before it would overspend the product budget or
-        grow a coefficient past PARSE_COEFF_BITS."""
+        """a * b, refused before it would overspend the product budget or, over
+        p = 0, grow a coefficient past PARSE_COEFF_BITS."""
         self.budget -= len(a) * len(b)
         if self.budget < 0:
-            raise ParseError(f"expression too large: more than {PARSE_PRODUCT_BUDGET} "
-                             "term products", pos)
-        self.check_coeffs(pos, a, b)
+            raise ParseError(_TOO_MANY, pos)
+        if not self.ring.p and _coeff_bits(a) + _coeff_bits(b) > PARSE_COEFF_BITS:
+            raise ParseError(_TOO_WIDE, pos)
         return a * b
 
-    def check_coeffs(self, pos, *factors):
-        """Refuse factors whose product could pass PARSE_COEFF_BITS; only p = 0 needs it."""
-        if not self.ring.p and sum(map(_coeff_bits, factors)) > PARSE_COEFF_BITS:
-            raise ParseError(f"coefficient too large: more than {PARSE_COEFF_BITS} bits", pos)
-
-    def peek(self):
-        return self.tokens[self.k][0]
-
-    def next(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
-
     def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
-
-    def term(self):
-        node = self.unary()
+        """A sum of products of factors, each after any minus signs and joined by '*'
+        or adjacency; every product is added into one dict in place (see parse_poly)."""
+        tokens, p, k, budget = self.tokens, self.ring.p, self.k, self.budget
+        res, minus = {}, False
         while True:
-            kind, _, pos = self.tokens[self.k]
-            if kind == "*":
-                self.next()
-            elif kind not in ("int", "var", "("):
-                return node
-            # "*" or implicit multiplication of adjacent symbols, e.g. "XY", "2X"
-            node = self.mul(node, self.unary(), pos)
-
-    def unary(self):
-        if self.peek() == "-":
-            self.next()
-            return -self.unary()
-        return self.power()
+            coeff, exps, node, pos = 1, [0] * self.ring.n, None, None
+            while True:
+                kind, value, at = tokens[k]
+                if kind == "-":  # a factor's sign negates the whole product
+                    k, minus = k + 1, not minus
+                    continue
+                if node is None and (kind == "var" or kind == "int" and tokens[k + 1][0] != "^"
+                                     and (value % p if p else value)):
+                    k, c = k + 1, 1
+                    if kind == "int":
+                        c = value
+                        if not p and c.bit_length() > PARSE_COEFF_BITS:
+                            raise ParseError(_TOO_WIDE, at)
+                    elif tokens[k][0] != "^":
+                        exps[value] += 1
+                    else:
+                        kind, e, at = tokens[k + 1]
+                        k += 2
+                        if kind != "int":
+                            raise ParseError("expected integer exponent after '^'", at)
+                        budget -= e and e.bit_count() + e.bit_length() - 1  # as _power spends
+                        exps[value] += e
+                    budget -= pos is not None  # the product with the factors before
+                    if budget < 0:  # at -1 after a product only the product overspent
+                        raise ParseError(_TOO_MANY, pos if budget == -1 and pos is not None else at)
+                    if not p and pos is not None and (abs(coeff).bit_length() + c.bit_length()
+                                                      > PARSE_COEFF_BITS):
+                        raise ParseError(_TOO_WIDE, pos)
+                    coeff = coeff * c % p if p else coeff * c
+                else:  # any other factor is a Polynomial, and so is the product from here on
+                    self.k, self.budget = k, budget
+                    factor = self.power()
+                    if node is None and pos is not None:
+                        node = Polynomial(self.ring, {tuple(exps): coeff})
+                    node = factor if node is None else self.mul(node, factor, pos)
+                    k, budget = self.k, self.budget
+                kind, _, pos = tokens[k]
+                if kind == "*":
+                    k += 1
+                elif kind != "int" and kind != "var" and kind != "(":
+                    break
+            for m, c in (node.terms.items() if node is not None
+                         else ((tuple(exps), coeff if p else Fraction(coeff)),)):
+                v = res.get(m, 0) - c if minus else res.get(m, 0) + c
+                res[m] = v % p if p else v
+                if not res[m]:
+                    del res[m]
+            if kind != "+" and kind != "-":
+                self.k, self.budget = k, budget
+                return Polynomial(self.ring, res, _raw=True)
+            k, minus = k + 1, kind == "-"
 
     def power(self):
         base = self.atom()
-        if self.peek() == "^":
-            self.next()
-            kind, value, pos = self.next()
+        if self.tokens[self.k][0] == "^":
+            kind, value, pos = self.tokens[self.k + 1]
+            self.k += 2
             if kind != "int":
                 raise ParseError("expected integer exponent after '^'", pos)
             base = _power(base, value, lambda a, b: self.mul(a, b, pos))
         return base
 
     def atom(self):
-        kind, value, pos = self.next()
+        kind, value, pos = self.tokens[self.k]
+        self.k += 1
         if kind == "int":
-            node = self.ring.const(value)
-            self.check_coeffs(pos, node)
-            return node
+            if not self.ring.p and value.bit_length() > PARSE_COEFF_BITS:
+                raise ParseError(_TOO_WIDE, pos)
+            return self.ring.const(value)
         if kind == "var":
             return self.ring.gen(value)
         if kind == "(":
             node = self.expr()
-            kind2, _, pos2 = self.next()
-            if kind2 != ")":
-                raise ParseError("expected ')'", pos2)
+            kind, _, pos = self.tokens[self.k]
+            self.k += 1
+            if kind != ")":
+                raise ParseError("expected ')'", pos)
             return node
         raise ParseError(f"unexpected token {kind!r}", pos)
 
@@ -579,7 +608,11 @@ def parse_poly(text, ring):
     """Parse an expression with integer coefficients and + - * ^ ( ).
 
     Adjacent symbols multiply implicitly ("XY", "2X", "Y(X+Z)"); longest
-    declared variable name wins when tokenizing letter runs.
+    declared variable name wins when tokenizing letter runs.  A product's
+    nonzero literals, variables and variable powers fold into one coefficient
+    and exponent tuple, charged as the one-term products they stand for (x^e
+    by squaring: e.bit_count() + e.bit_length() - 1); from the first other
+    factor on, the product is a Polynomial and each factor multiplies into it.
     """
     parser = _Parser(_tokenize(text, ring), ring)
     node = parser.expr()

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from redsop import (
 from redsop.corpus import random_monomial
 from redsop.groebner import _Packing, _TagOrder
 from redsop.poly import _is_prime, _nf_raw, mono_divides
+from redsop.session import run_block
 
 
 def test_parse_implicit_product(R):
@@ -269,3 +271,124 @@ def test_parse_refuses_oversized_literals():
     for digits in (2000, 5000):
         with pytest.raises(ParseError, match="coefficient too large"):
             rational.poly("9" * digits + "X")
+
+
+# ---------------------------------------------------------------------------
+# the parser pinned on seeded texts: terms in dict order, or the error and its position
+
+_PIN_RINGS = (("X", "X1", "Y"), ("x0", "x1", "x10"))
+_PIN_STRAYS = ("$", "é", "²", "٣", "!", "Q", "q1", ")", "(", "^", "*", "+", " ")
+
+
+def _pin_expr(rng, names, p, depth):
+    text = _pin_term(rng, names, p, depth)
+    for _ in range(rng.randrange(4)):
+        text += rng.choice((" + ", " - ", "+", "-")) + _pin_term(rng, names, p, depth)
+    return text
+
+
+def _pin_term(rng, names, p, depth):
+    text = _pin_factor(rng, names, p, depth)
+    for _ in range(rng.randrange(4)):
+        text += rng.choice(("*", "", " ", " * ")) + _pin_factor(rng, names, p, depth)
+    return text
+
+
+def _pin_factor(rng, names, p, depth):
+    roll = rng.random()
+    if roll < 0.4:
+        atom, exps = rng.choice(names), (0, 1, 2, 3, 7, 12)
+    elif roll < 0.75 or depth >= 2:
+        atom = str(rng.choice((0, 1, 2, 3, 10, p, p + 1, 2 * p, 10 ** 20 + 7,
+                               rng.randrange(10 ** 6))))
+        exps = (0, 1, 2, 5)
+    else:
+        atom, exps = "(" + _pin_expr(rng, names, p, depth + 1) + ")", (0, 1, 2, 3)
+    if rng.random() < 0.3:
+        atom += "^" + str(rng.choice(exps))
+    return "-" * rng.choice((0, 0, 0, 1, 2)) + atom
+
+
+def _pin_mutate(rng, text):
+    roll = rng.random()
+    if roll < 0.5:
+        return text
+    at = rng.randrange(len(text) + 1)
+    if roll < 0.7:
+        return text[:at] + rng.choice(_PIN_STRAYS) + text[at:]
+    if roll < 0.85:
+        return text[:at] + text[at + 1:]
+    return text + rng.choice(("+", "-", "*", "^", " ^", "("))
+
+
+def _pin_outcome(text, ring):
+    try:
+        f = parse_poly(text, ring)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "position", None)
+    return list(f.terms.items())
+
+
+def _pin_cases():
+    rng = random.Random(20260421)
+    cases = []
+    for p in (0, 2, 32003):
+        for names in _PIN_RINGS:
+            ring = PolyRing(names, p)
+            for _ in range(400):
+                # half the texts are flat sums of products, as sessions send them
+                text = _pin_mutate(rng, _pin_expr(rng, names, p, rng.choice((0, 2))))
+                cases.append((text, names, p, _pin_outcome(text, ring)))
+    return cases
+
+
+def test_parser_outcomes_are_pinned():
+    # recorded with the parser that built a Polynomial for every factor
+    digest = hashlib.sha256(repr(_pin_cases()).encode()).hexdigest()
+    assert digest == "f6eb7cf971fec9a6feb39decd09247d60c6a5e9ce1e9379b9210e3a50d2dc7b4"
+
+
+def test_parse_bounds_at_their_edges():
+    ring = PolyRing(("X", "Y"), 32003)
+    # X*X*...*X: 100 000 products spend the budget exactly, one more is refused at its '*'
+    assert parse_poly("*".join(["X"] * 100_001), ring).terms == {(100_001, 0): 1}
+    text = "*".join(["X"] * 100_002)
+    with pytest.raises(ParseError, match="expression too large") as err:
+        parse_poly(text, ring)
+    assert err.value.position == len(text) - 2
+    # X^e costs e.bit_count() + e.bit_length() - 1: three X^(2^14000 - 1) and their two
+    # products leave 16 001, which X^(2^8001 - 1) spends exactly; X^(2^8002 - 2) costs one more
+    e = 2 ** 14000 - 1
+    head = f"X^{e}*X^{e}*X^{e} + X^"
+    exact = 2 ** 8001 - 1
+    assert parse_poly(head + str(exact), ring).terms == {(3 * e, 0): 1, (exact, 0): 1}
+    with pytest.raises(ParseError, match="expression too large") as err:
+        parse_poly(head + str(2 ** 8002 - 2), ring)
+    assert err.value.position == len(head)
+    # over p = 0 a 4096-bit literal parses alone; a product with X adds X's own bit
+    rational = PolyRing(("X", "Y"), 0)
+    c = str(2 ** 4096 - 1)
+    assert parse_poly(c, rational).terms == {(0, 0): Fraction(2 ** 4096 - 1)}
+    for text, position in ((c + "*X", 1234), ("X*" + c, 1), (c + "X", 1234),
+                           ("Y + X^2*" + c, 7), (str(2 ** 4096), 0)):
+        with pytest.raises(ParseError, match="coefficient too large") as err:
+            parse_poly(text, rational)
+        assert err.value.position == position, text
+
+
+def test_long_literals_reduce_over_a_prime_field():
+    # past int()'s digit limit a prime field reduces the digits mod p; p = 0 still refuses
+    digits = "3" * 5000
+    want = 0
+    for s in range(0, len(digits), 7):
+        want = (want * 10 ** len(digits[s:s + 7]) + int(digits[s:s + 7])) % 32003
+    ring = PolyRing(("X", "Y"), 32003)
+    assert parse_poly(digits + "*X", ring).terms == {(1, 0): want}
+    assert parse_poly(digits + "^2*X", ring).terms == {(1, 0): want * want % 32003}
+    report, code = run_block(f"ring [X,Y] p=32003\nideal {digits}*X\ndim\n")
+    assert (code, report["status"], report["dim"]) == (0, "ok", 1)
+    # an exponent is not reduced mod p, and p = 0 keeps its refusal
+    for text, p, position in (("X^" + digits, 32003, 2), (digits + "*X", 0, 0)):
+        with pytest.raises(ParseError, match="coefficient too large") as err:
+            parse_poly(text, PolyRing(("X", "Y"), p))
+        assert err.value.position == position
